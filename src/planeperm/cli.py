@@ -40,7 +40,7 @@ class Settings:
     show_default=True,
     help="Output rendering.",
 )
-@click.option("--jobs", type=int, default=1, show_default=True, help="Worker processes for the big sweeps.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes for the big sweeps.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for the sampled checks.")
 @click.option(
     "--cap",

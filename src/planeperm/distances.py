@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .partitions import exact_div, stirling_first
-from .perm import Permutation, parse_sequence
+from .perm import Permutation, array_cycle_counts, count_cycles, parse_sequence
 from .plane import BlockInterchange, PlanePermutation, TransposeCase, swap_blocks
 from .report import VerifyReport, merge_reports
 
@@ -85,19 +85,6 @@ def _vertical_images(row: Sequence[int]) -> list[int]:
     return [succ[v] - 1 if succ[v] else n for v in range(n + 1)]
 
 
-def _count_cycles(images: Sequence[int]) -> int:
-    seen = [False] * len(images)
-    count = 0
-    for start in range(len(images)):
-        if not seen[start]:
-            count += 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = images[x]
-    return count
-
-
 def apply_block_interchange(
     seq: Sequence[int], move: BlockInterchange | tuple[int, int, int, int]
 ) -> tuple[int, ...]:
@@ -122,6 +109,19 @@ def apply_transposition(seq: Sequence[int], i: int, j: int, k: int) -> tuple[int
     return apply_block_interchange(seq, (i, j, j + 1, k))
 
 
+def _gamma_images(gamma: Permutation, n: int) -> tuple[int, ...]:
+    # γ acts on 0..n, so its image tuple is already a 0-based array.
+    if gamma.labels != tuple(range(n + 1)):
+        raise ValueError(f"gamma must act on 0..{n}, got {gamma.labels!r}")
+    return gamma.images
+
+
+def _gaps(vertical: Sequence[int], gamma: Sequence[int]) -> tuple[int, int, int]:
+    with_gamma = array_cycle_counts([vertical[x] for x in gamma])
+    alone = array_cycle_counts(gamma)
+    return tuple(abs(c - d) for c, d in zip(with_gamma, alone))
+
+
 def cycle_gaps(seq: Sequence[int], gamma: Permutation) -> tuple[int, int, int]:
     """Absolute change of (total, odd, even) cycle counts when composing with γ.
 
@@ -129,15 +129,8 @@ def cycle_gaps(seq: Sequence[int], gamma: Permutation) -> tuple[int, int, int]:
     parameter γ, which must act on the anchored label set 0..n.
     """
     seq = check_sequence(seq)
-    labels = tuple(range(len(seq) + 1))
-    if gamma.labels != labels:
-        raise ValueError(f"gamma must act on 0..{len(seq)}, got {gamma.labels!r}")
-    vertical = Permutation.from_mapping(
-        dict(enumerate(_vertical_images(augmented_row(seq))))
-    )
-    with_gamma = (vertical * gamma).cycle_counts()
-    alone = gamma.cycle_counts()
-    return tuple(abs(c - d) for c, d in zip(with_gamma, alone))
+    gamma_images = _gamma_images(gamma, len(seq))
+    return _gaps(_vertical_images(augmented_row(seq)), gamma_images)
 
 
 def td_lower_bound(seq: Sequence[int], gammas: Iterable[Permutation] | None = None) -> int:
@@ -145,18 +138,24 @@ def td_lower_bound(seq: Sequence[int], gammas: Iterable[Permutation] | None = No
 
     Each γ yields the bound ceil(gap/2) where gap is the largest of the three
     cycle-count changes reported by :func:`cycle_gaps`; the result is the best
-    bound over the supplied γ.  The defaults (the inverse vertical and the
-    identity) reproduce the classical cycle-graph bounds.
+    bound over the supplied γ.  The defaults are the inverse of the vertical
+    and the identity.  Both give the gaps (n+1−C, n+1−C_odd, C_even) of the
+    vertical's cycle counts, so the default bound is ceil((n+1−C_odd)/2): the
+    odd-cycle bound of the cycle graph.
     """
     seq = check_sequence(seq)
+    n = len(seq)
+    vertical = _vertical_images(augmented_row(seq))
     if gammas is None:
-        vertical = Permutation.from_mapping(
-            dict(enumerate(_vertical_images(augmented_row(seq))))
-        )
-        gammas = (vertical.inverse(), Permutation.identity(range(len(seq) + 1)))
+        inverse = [0] * (n + 1)
+        for x, y in enumerate(vertical):
+            inverse[y] = x
+        gamma_arrays: Iterable[Sequence[int]] = (inverse, range(n + 1))
+    else:
+        gamma_arrays = (_gamma_images(gamma, n) for gamma in gammas)
     best = 0
-    for gamma in gammas:
-        gap = max(cycle_gaps(seq, gamma))
+    for gamma in gamma_arrays:
+        gap = max(_gaps(vertical, gamma))
         best = max(best, (gap + 1) // 2)
     return best
 
@@ -171,7 +170,7 @@ def bid(seq: Sequence[int]) -> int:
     """
     seq = check_sequence(seq)
     n = len(seq)
-    cycles = _count_cycles(_vertical_images(augmented_row(seq)))
+    cycles = count_cycles(_vertical_images(augmented_row(seq)))
     return exact_div(n + 1 - cycles, 2)
 
 
@@ -237,7 +236,7 @@ def brute_max_cycle_gap(alpha: Permutation) -> int:
     best = 0
     for gamma in itertools.permutations(range(n)):
         product = [base[gamma[t]] for t in range(n)]
-        gap = abs(_count_cycles(product) - _count_cycles(gamma))
+        gap = abs(count_cycles(product) - count_cycles(gamma))
         if gap > best:
             best = gap
     return best
@@ -362,7 +361,7 @@ def rev_lower_bound(a: Sequence[int]) -> int:
     """
     a = check_signed(a)
     images, _ = _signed_vertical(a)
-    return exact_div(2 * len(a) + 1 - _count_cycles(images), 2)
+    return exact_div(2 * len(a) + 1 - count_cycles(images), 2)
 
 
 @dataclass(frozen=True)
@@ -382,31 +381,36 @@ class BreakpointGraph:
         return exact_div((self.theta1 * self.theta2).cycle_counts()[0], 2)
 
 
+def _endpoints(a: Sequence[int]) -> list[int]:
+    # The 2n+2 endpoint labels: 0, then −v, v for each entry, then −(n+1).
+    return [0, *itertools.chain.from_iterable((-v, v) for v in a), -(len(a) + 1)]
+
+
 def breakpoint_graph(a: Sequence[int]) -> BreakpointGraph:
     a = check_signed(a)
     n = len(a)
-    b: list[int] = [0]
-    for v in a:
-        b.extend((-v, v))
-    b.append(-(n + 1))
+    b = _endpoints(a)
     theta1 = Permutation.from_cycles([(b[2 * t], b[2 * t + 1]) for t in range(n + 1)])
     theta2 = Permutation.from_cycles([(t, -(t + 1)) for t in range(n + 1)])
     return BreakpointGraph(tuple(b), theta1, theta2)
 
 
 def breakpoint_bound(a: Sequence[int]) -> int:
-    """Breakpoint-graph lower bound for the reversal distance.
+    """Breakpoint-graph lower bound n+1−C_BG for the reversal distance.
 
-    Computed both as n+1−C_BG and as (2n+2−C(θ₁θ₂))/2; the two must agree.
+    Each cycle of the breakpoint graph splits into two cycles of θ₁θ₂, so the
+    bound is (2n+2−C(θ₁θ₂))/2; the division raises if C(θ₁θ₂) is odd.
     """
-    graph = breakpoint_graph(a)
-    n = len(graph.b) // 2 - 1
-    product_cycles = (graph.theta1 * graph.theta2).cycle_counts()[0]
-    bound = n + 1 - graph.cycle_count
-    other = exact_div(2 * n + 2 - product_cycles, 2)
-    if bound != other:
-        raise AssertionError(f"breakpoint bounds disagree on {a!r}: {bound} vs {other}")
-    return bound
+    a = check_signed(a)
+    n = len(a)
+    # Endpoint labels packed onto 0..2n+1: x -> x for x >= 0, x -> n - x below.
+    packed = [v if v >= 0 else n - v for v in _endpoints(a)]
+    theta1 = [0] * (2 * n + 2)
+    for u, w in zip(packed[::2], packed[1::2]):
+        theta1[u], theta1[w] = w, u
+    # θ₂ swaps t and n+1+t, so θ₁θ₂ is θ₁ read with its two halves swapped.
+    product = theta1[n + 1 :] + theta1[: n + 1]
+    return exact_div(2 * n + 2 - count_cycles(product), 2)
 
 
 def _require_skew_symmetric(p: PlanePermutation) -> int:

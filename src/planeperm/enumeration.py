@@ -280,7 +280,7 @@ def verify_stirling_recurrence(n_max: int) -> VerifyReport:
 
 def exceedance_totals(n: int, k: int) -> tuple[int, int]:
     """Total count of ``x`` with ``pi(x) > x`` over ordinary permutations of
-    ``n`` symbols with ``k`` cycles, by two closed forms (asserted equal).
+    ``n`` symbols with ``k`` cycles, by two closed forms (checked equal).
 
     >>> exceedance_totals(3, 1)
     (3, 3)
@@ -290,7 +290,8 @@ def exceedance_totals(n: int, k: int) -> tuple[int, int]:
         for i in range(1, (n - k) // 2 + 1)
     )
     product = binomial(n, 2) * stirling_first(n - 1, k)
-    assert direct == product, (n, k, direct, product)
+    if direct != product:
+        raise AssertionError(f"exceedance totals disagree at n={n} k={k}: {direct}, {product}")
     return direct, product
 
 
@@ -450,7 +451,8 @@ def _p1_alternating(n: int, lam: Partition) -> int:
             else:
                 inner += -term if sign % 2 else term
         total += Fraction(factorial(i) * factorial(n - 1 - i), n) * inner
-    assert total.denominator == 1, (n, lam, total)
+    if total.denominator != 1:
+        raise AssertionError(f"alternating sum not an integer at n={n} {lam}: {total}")
     return int(total)
 
 
@@ -469,14 +471,15 @@ def p1_routes(n: int, lam: Partition) -> dict[str, int]:
 
 def p1_closed_forms(n: int, lam: Partition) -> int:
     """Plane permutations with diagonal type ``lam`` and a single bottom
-    cycle.  Every applicable route must agree, or this asserts.
+    cycle.  Every applicable route must agree, or this raises AssertionError.
 
     >>> p1_closed_forms(4, Partition.of([2, 2]))
     2
     """
     routes = p1_routes(n, lam)
     values = set(routes.values())
-    assert len(values) == 1, (n, lam, routes)
+    if len(values) != 1:
+        raise AssertionError(f"single-cycle routes disagree at n={n} {lam}: {routes}")
     return values.pop()
 
 

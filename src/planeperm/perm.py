@@ -25,6 +25,8 @@ from .partitions import Partition
 __all__ = [
     "CycleDecomposition",
     "Permutation",
+    "array_cycle_counts",
+    "count_cycles",
     "cycle_from_sequence",
     "parse_cycles",
     "parse_sequence",
@@ -36,19 +38,6 @@ class CycleDecomposition:
     """Disjoint cycles of a permutation in canonical order."""
 
     cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.cycles)
-
-    @property
-    def odd_count(self) -> int:
-        """Number of cycles of odd length."""
-        return sum(1 for c in self.cycles if len(c) % 2)
-
-    @property
-    def even_count(self) -> int:
-        return self.count - self.odd_count
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.cycles)
@@ -176,9 +165,6 @@ class Permutation:
 
     # -- structure ------------------------------------------------------
 
-    def is_identity(self) -> bool:
-        return self.labels == self.images
-
     def cycles(self) -> CycleDecomposition:
         """Canonical cycle decomposition.
 
@@ -229,12 +215,39 @@ class Permutation:
             z = self(z)
         return x == y
 
-    def one_line_str(self) -> str:
-        """Images in increasing label order, space separated."""
-        return " ".join(str(y) for y in self.images)
-
     def __str__(self) -> str:
         return str(self.cycles())
+
+
+def count_cycles(images: Sequence[int]) -> int:
+    """Number of cycles of a permutation of 0..n-1 given as an image array."""
+    seen = [False] * len(images)
+    count = 0
+    for start in range(len(images)):
+        if not seen[start]:
+            count += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = images[x]
+    return count
+
+
+def array_cycle_counts(images: Sequence[int]) -> tuple[int, int, int]:
+    """``(cycles, odd cycles, even cycles)`` of a 0-based image array."""
+    seen = [False] * len(images)
+    total = odd = 0
+    for start in range(len(images)):
+        if not seen[start]:
+            length = 0
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = images[x]
+                length += 1
+            total += 1
+            odd += length % 2
+    return total, odd, total - odd
 
 
 def cycle_from_sequence(seq: Sequence[int]) -> Permutation:

@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from .perm import Permutation, cycle_from_sequence
+from .perm import Permutation, count_cycles, cycle_from_sequence
 from .report import VerifyReport, merge_reports, pmap
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "PlanePermutation",
     "SliceResult",
     "TransposeCase",
-    "exc_count_invariance_check",
     "invariant_sweep",
     "swap_blocks",
 ]
@@ -211,12 +210,6 @@ class PlanePermutation:
     def rotations(self) -> Iterator["PlanePermutation"]:
         for r in range(len(self.s)):
             yield self.rotate(r)
-
-    def conjugate(self, alpha: Permutation) -> "PlanePermutation":
-        """Relabel everything by ``alpha``; the diagonal is relabeled too."""
-        return PlanePermutation(
-            tuple(alpha(x) for x in self.s), self.pi.conjugate_by(alpha)
-        )
 
     # -- exceedances ----------------------------------------------------
 
@@ -456,12 +449,6 @@ def _classify_points(cid, cpos, clen, pts) -> TransposeCase:
     return TransposeCase.NON_INCREASING
 
 
-def exc_count_invariance_check(p: PlanePermutation) -> bool:
-    """Whether every rotation of ``p`` has the same exceedance count."""
-    want = p.exceedance_count()
-    return all(q.exceedance_count() == want for q in p.rotations())
-
-
 # -- exhaustive and randomized invariant sweeps --------------------------
 
 
@@ -476,19 +463,6 @@ def _all_moves(n: int) -> tuple[BlockInterchange, ...]:
     )
 
 
-def _count_cycles_array(images: Sequence[int]) -> int:
-    seen = [False] * len(images)
-    count = 0
-    for x in range(len(images)):
-        if not seen[x]:
-            count += 1
-            y = x
-            while not seen[y]:
-                seen[y] = True
-                y = images[y]
-    return count
-
-
 def _check_structure(rep: VerifyReport, n, s, pi, pos, succ, moves) -> None:
     """All per-pair invariants, on 0-based arrays for speed."""
     diag = [0] * n
@@ -498,8 +472,8 @@ def _check_structure(rep: VerifyReport, n, s, pi, pos, succ, moves) -> None:
     aex_diag = sum(1 for x in range(n) if pos[x] >= pos[diag[x]])
     ctx = f"n={n} s={s} pi={pi}"
     rep.check(exc == aex_diag - 1, f"{ctx}: exceedance/diagonal mismatch")
-    c_pi = _count_cycles_array(pi)
-    c_diag = _count_cycles_array(diag)
+    c_pi = count_cycles(pi)
+    c_diag = count_cycles(diag)
     rep.check(c_pi + c_diag <= n + 1, f"{ctx}: cycle bound broken")
     rep.check((c_pi + c_diag - (n - 1)) % 2 == 0, f"{ctx}: cycle parity broken")
     rotation_ok = all(
@@ -539,7 +513,7 @@ def _check_structure(rep: VerifyReport, n, s, pi, pos, succ, moves) -> None:
             patched[s[k - 1]] = pi[s[i - 1]]
             patched[s[l]] = pi[s[j]]
         case = _classify_points(cid, cpos, clen, pts)
-        delta = _count_cycles_array(patched) - c_pi
+        delta = count_cycles(patched) - c_pi
         want = case.cycle_delta
         ok = delta in (-2, 0) if want is None else delta == want
         if move.is_transpose:

@@ -250,6 +250,14 @@ def test_jobs_do_not_change_bytes():
     assert serial.stdout == parallel.stdout
 
 
+def test_jobs_below_one_is_a_usage_error():
+    for jobs in ("0", "-2"):
+        result = run("--jobs", jobs, "verify", "stirling", "5")
+        assert result.exit_code == 2
+        assert "Invalid value for '--jobs'" in result.stderr
+        assert result.stdout == ""
+
+
 def test_out_writes_file(tmp_path):
     target = tmp_path / "report.txt"
     result = run("--out", str(target), "verify", "stirling", "5")

@@ -1,6 +1,7 @@
 """Sorting distances: block interchanges, transpositions, signed reversals."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +44,7 @@ from planeperm.distances import (
     suite_td_oracle,
     td_lower_bound,
 )
-from planeperm.perm import Permutation
+from planeperm.perm import Permutation, array_cycle_counts, count_cycles
 from planeperm.plane import BlockInterchange
 
 # the three worked reversal examples: row, expected move
@@ -256,6 +257,64 @@ def test_rev_oracle_reports_breakpoint_agreement():
     assert rep.info["states"] == 48
 
 
+# -- array bounds against the Permutation reference -----------------------
+
+
+def reference_cycle_gaps(seq, gamma):
+    # The vertical of the sorting plane, composed with γ as objects.
+    vertical = sequence_plane(seq).pi
+    with_gamma = vertical.compose(gamma).cycle_counts()
+    return tuple(abs(c - d) for c, d in zip(with_gamma, gamma.cycle_counts()))
+
+
+def reference_td_lower_bound(seq, gammas=None):
+    if gammas is None:
+        vertical = sequence_plane(seq).pi
+        gammas = (vertical.inverse(), Permutation.identity(vertical.labels))
+    return max(((max(reference_cycle_gaps(seq, g)) + 1) // 2 for g in gammas), default=0)
+
+
+def reference_breakpoint_bound(a):
+    return len(a) + 1 - breakpoint_graph(a).cycle_count
+
+
+def seeded_queries():
+    """Seeded (sequence, signed row, γ on 0..n) triples: two at each n = 1..60,
+    one at n = 300 and one at n = 1000."""
+    rng = random.Random(20150226)
+    for n in [*range(1, 61), *range(1, 61), 300, 1000]:
+        seq = tuple(rng.sample(range(1, n + 1), n))
+        signed = tuple(v * rng.choice((1, -1)) for v in seq)
+        gamma = Permutation(tuple(range(n + 1)), tuple(rng.sample(range(n + 1), n + 1)))
+        yield seq, signed, gamma
+
+
+def test_cycle_gaps_match_reference():
+    for seq, _, gamma in seeded_queries():
+        assert cycle_gaps(seq, gamma) == reference_cycle_gaps(seq, gamma), seq
+
+
+def test_td_lower_bound_matches_reference():
+    for seq, _, gamma in seeded_queries():
+        assert td_lower_bound(seq) == reference_td_lower_bound(seq), seq
+        assert td_lower_bound(seq, [gamma]) == reference_td_lower_bound(seq, [gamma]), seq
+        assert td_lower_bound(seq, []) == 0
+
+
+def test_breakpoint_bound_matches_reference():
+    for _, signed, _ in seeded_queries():
+        assert breakpoint_bound(signed) == reference_breakpoint_bound(signed), signed
+
+
+def test_array_bounds_keep_their_errors():
+    with pytest.raises(ValueError, match="not a sequence"):
+        td_lower_bound((1, 2, 2))
+    with pytest.raises(ValueError, match="gamma must act on 0..2"):
+        td_lower_bound((2, 1), [Permutation.identity(range(5))])
+    with pytest.raises(ValueError, match="magnitudes"):
+        breakpoint_bound((1, -1))
+
+
 # -- conjecture scans -----------------------------------------------------
 
 
@@ -337,6 +396,14 @@ def signed_rows(draw, max_n=6):
     magnitudes = draw(st.permutations(range(1, n + 1)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     return tuple(m * s for m, s in zip(magnitudes, signs))
+
+
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))))
+@settings(max_examples=200)
+def test_cycle_kernels_match_permutation(images):
+    perm = Permutation(tuple(range(len(images))), tuple(images))
+    assert array_cycle_counts(images) == perm.cycle_counts()
+    assert count_cycles(images) == perm.cycle_counts()[0]
 
 
 @given(signed_rows(), st.data())

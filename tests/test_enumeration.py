@@ -1,7 +1,11 @@
 """Counting planes over a fixed diagonal, and the identities the counts obey."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,27 @@ def test_exceedance_totals():
             direct, via_stirling = exceedance_totals(n, k)
             assert direct == via_stirling
             assert via_stirling == binomial(n, 2) * stirling_first(n - 1, k)
+
+
+def test_exceedance_totals_raises_under_optimize():
+    # Force the two closed forms apart (every binomial reads 0) and run with
+    # ``python -O``, which strips ``assert`` statements: the check must stay.
+    script = (
+        "import planeperm.enumeration as e\n"
+        "assert False, 'assert statements are live'\n"
+        "e.binomial = lambda n, k: 0\n"
+        "try:\n"
+        "    print('returned', e.exceedance_totals(3, 1))\n"
+        "except AssertionError as err:\n"
+        "    print('raised', err)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised exceedance totals disagree at n=3 k=1")
 
 
 def test_ntae_identity():
