@@ -233,6 +233,9 @@ def enumerate_cmd(settings: Settings, kind, n, lam) -> None:
 
 
 def _emit_report(settings: Settings, kind: str, head: dict, report: VerifyReport) -> None:
+    """Print a report; exit 1 if it failed, and 2 if it checked nothing at all."""
+    if not report.checked:
+        raise click.UsageError(f"{report.name} checks nothing; pick a larger N")
     if settings.fmt == "json":
         text = to_json({"schema": schema_id(kind), **head, **report.to_json_obj()})
     elif settings.fmt == "csv":
@@ -245,6 +248,8 @@ def _emit_report(settings: Settings, kind: str, head: dict, report: VerifyReport
         lines.extend(f"  fail {message}" for message in report.failures)
         text = "\n".join(lines) + "\n"
     settings.emit(text)
+    if not report.passed:
+        sys.exit(1)
 
 
 SUITE_RUNNERS: dict[str, Callable[[int, Settings], VerifyReport]] = {
@@ -267,19 +272,17 @@ SUITE_RUNNERS: dict[str, Callable[[int, Settings], VerifyReport]] = {
 
 @main.command()
 @click.argument("suite", type=click.Choice(tuple(SUITE_RUNNERS)))
-@click.argument("n", type=int)
+@click.argument("n", type=click.IntRange(min=1))
 @click.pass_obj
 def verify(settings: Settings, suite, n) -> None:
     """Run one verification suite at sizes up to N."""
     report = _run(lambda: SUITE_RUNNERS[suite](n, settings))
     _emit_report(settings, "verify", {"suite": suite, "n": n}, report)
-    if not report.passed:
-        sys.exit(1)
 
 
 @main.command()
 @click.argument("which", type=click.Choice(("same-cycle-exact", "same-cycle-all")))
-@click.argument("n", type=int)
+@click.argument("n", type=click.IntRange(min=1))
 @click.pass_obj
 def conjecture(settings: Settings, which, n) -> None:
     """Scan signed permutations of size N for same-cycle counterexamples."""
@@ -287,5 +290,3 @@ def conjecture(settings: Settings, which, n) -> None:
         lambda: distances.conjecture_scan(n, which, allow_large=settings.allow_large)
     )
     _emit_report(settings, "conjecture", {"which": which, "n": n}, report)
-    if not report.passed:
-        sys.exit(1)

@@ -140,22 +140,17 @@ def td_lower_bound(seq: Sequence[int], gammas: Iterable[Permutation] | None = No
     cycle-count changes reported by :func:`cycle_gaps`; the result is the best
     bound over the supplied γ.  The defaults are the inverse of the vertical
     and the identity.  Both give the gaps (n+1−C, n+1−C_odd, C_even) of the
-    vertical's cycle counts, so the default bound is ceil((n+1−C_odd)/2): the
-    odd-cycle bound of the cycle graph.
+    vertical's cycle counts, so the default bound is ceil((n+1−C_odd)/2), the
+    odd-cycle bound of the cycle graph, and is read off C_odd directly.
     """
     seq = check_sequence(seq)
     n = len(seq)
     vertical = _vertical_images(augmented_row(seq))
     if gammas is None:
-        inverse = [0] * (n + 1)
-        for x, y in enumerate(vertical):
-            inverse[y] = x
-        gamma_arrays: Iterable[Sequence[int]] = (inverse, range(n + 1))
-    else:
-        gamma_arrays = (_gamma_images(gamma, n) for gamma in gammas)
+        return (n + 2 - array_cycle_counts(vertical)[1]) // 2
     best = 0
-    for gamma in gamma_arrays:
-        gap = max(_gaps(vertical, gamma))
+    for gamma in gammas:
+        gap = max(_gaps(vertical, _gamma_images(gamma, n)))
         best = max(best, (gap + 1) // 2)
     return best
 
@@ -584,8 +579,11 @@ GENERATORS: dict[str, Callable[[tuple[int, ...]], Iterator[tuple[int, ...]]]] = 
 }
 
 
-@lru_cache(maxsize=16)
-def _bfs_from(start: tuple[int, ...], kind: str, cap: int) -> dict[tuple[int, ...], int]:
+def _bfs(
+    start: tuple[int, ...], kind: str, cap: int, goal: tuple[int, ...] | None = None
+) -> dict[tuple[int, ...], int]:
+    """Distances of the states reached from ``start``; a search for ``goal``
+    stops the moment it finds it, before the state cap is consulted."""
     neighbors = GENERATORS[kind]
     dist = {start: 0}
     frontier = [start]
@@ -596,6 +594,9 @@ def _bfs_from(start: tuple[int, ...], kind: str, cap: int) -> dict[tuple[int, ..
         for state in frontier:
             for nb in neighbors(state):
                 if nb not in dist:
+                    if nb == goal:
+                        dist[nb] = depth
+                        return dist
                     if len(dist) >= cap:
                         raise SearchCapExceeded(
                             f"BFS under {kind} exceeded cap of {cap} states"
@@ -604,6 +605,10 @@ def _bfs_from(start: tuple[int, ...], kind: str, cap: int) -> dict[tuple[int, ..
                     nxt.append(nb)
         frontier = nxt
     return dist
+
+
+# Complete searches repeat across the oracle suites, so they are cached.
+_bfs_from = lru_cache(maxsize=16)(_bfs)
 
 
 def bfs_distances(
@@ -632,26 +637,10 @@ def bfs_distance(
     start, goal = tuple(start), tuple(goal)
     if start == goal:
         return 0
-    neighbors = GENERATORS[kind]
-    dist = {start: 0}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for state in frontier:
-            for nb in neighbors(state):
-                if nb == goal:
-                    return depth
-                if nb not in dist:
-                    if len(dist) >= cap:
-                        raise SearchCapExceeded(
-                            f"BFS under {kind} exceeded cap of {cap} states"
-                        )
-                    dist[nb] = depth
-                    nxt.append(nb)
-        frontier = nxt
-    raise ValueError(f"{goal!r} is unreachable from {start!r} under {kind}")
+    dist = _bfs(start, kind, cap, goal)
+    if goal not in dist:
+        raise ValueError(f"{goal!r} is unreachable from {start!r} under {kind}")
+    return dist[goal]
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +713,12 @@ def suite_bid_oracle(
             parts.append(check_bid_bfs_at(m, cap))
             parts.append(check_bid_histogram_at(m, cap))
         parts.append(check_bid_replay_at(m))
-    return merge_reports(f"bid-oracle-n{n}", parts)
+    merged = merge_reports(f"bid-oracle-n{n}", parts)
+    merged.info["states"] = sum(part.info.get("states", 0) for part in parts)
+    histograms = [part.info["histogram"] for part in parts if "histogram" in part.info]
+    for m, histogram in enumerate(histograms, start=1):
+        merged.info[f"histogram_n{m}"] = histogram
+    return merged
 
 
 def check_td_bound_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
@@ -744,9 +738,10 @@ def check_td_bound_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
 
 
 def suite_td_oracle(n: int, *, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
-    return merge_reports(
-        f"td-oracle-n{n}", [check_td_bound_at(m, cap) for m in range(1, n + 1)]
-    )
+    parts = [check_td_bound_at(m, cap) for m in range(1, n + 1)]
+    merged = merge_reports(f"td-oracle-n{n}", parts)
+    merged.info["tight"] = sum(part.info["tight"] for part in parts)
+    return merged
 
 
 def check_rev_bounds_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
@@ -775,9 +770,16 @@ def check_rev_bounds_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
 def suite_rev_oracle(
     n: int, *, cap: int = DEFAULT_BFS_CAP, allow_large: bool = False
 ) -> VerifyReport:
-    top = min(n, 6 if not allow_large else 7)
-    merged = merge_reports(
-        f"rev-oracle-n{top}", [check_rev_bounds_at(m, cap) for m in range(1, top + 1)]
+    limit = 7 if allow_large else 6
+    if n > limit:
+        raise SearchCapExceeded(f"rev-oracle capped at n={limit} (asked {n})")
+    parts = [check_rev_bounds_at(m, cap) for m in range(1, n + 1)]
+    merged = merge_reports(f"rev-oracle-n{n}", parts)
+    for key in ("states", "tight"):
+        merged.info[key] = sum(part.info[key] for part in parts)
+    merged.info["tight_rate"] = f"{merged.info['tight']}/{merged.checked}"
+    merged.info["breakpoint_disagreements"] = sum(
+        part.info["breakpoint_disagreements"] for part in parts
     )
     return merged
 

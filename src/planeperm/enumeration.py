@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .partitions import (
     Partition,
@@ -27,8 +27,8 @@ from .partitions import (
     splits,
     stirling_first,
 )
-from .perm import Permutation
-from .plane import PlanePermutation
+from .perm import Permutation, _array_cycle_type
+from .plane import PlanePermutation, _anchored_rows, _row_tables
 from .report import VerifyReport, merge_reports, pmap
 
 DEFAULT_TABULATE_LIMIT = 8
@@ -57,24 +57,6 @@ def enumerate_U_D(diag: Permutation, limit: int = 10) -> Iterator[PlanePermutati
     head, rest = labels[0], labels[1:]
     for order in itertools.permutations(rest):
         yield PlanePermutation.from_diagonal((head, *order), diag)
-
-
-def _cycle_type_of(images: Sequence[int]) -> tuple[int, ...]:
-    """Cycle lengths of a permutation given as a 0-indexed image array."""
-    seen = [False] * len(images)
-    out = []
-    for x in range(len(images)):
-        if seen[x]:
-            continue
-        length = 0
-        y = x
-        while not seen[y]:
-            seen[y] = True
-            y = images[y]
-            length += 1
-        out.append(length)
-    out.sort(reverse=True)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -146,23 +128,13 @@ def tabulate(n: int, lam: Partition, *, allow_large: bool = False) -> CountTable
 @lru_cache(maxsize=None)
 def _tabulate_cached(n: int, parts: tuple[int, ...]) -> CountTable:
     lam = Partition(parts)
-    diag = Permutation.from_cycle_type(lam, labels=range(n))
-    dinv = [0] * n
-    for x in range(n):
-        dinv[diag(x)] = x
+    dinv = Permutation.from_cycle_type(lam, labels=range(n)).inverse().images
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    succ = [0] * n
-    pos = [0] * n
-    pi = [0] * n
-    for order in itertools.permutations(range(1, n)):
-        row = (0, *order)
-        for i, x in enumerate(row):
-            succ[x] = row[(i + 1) % n]
-            pos[x] = i
-        for x in range(n):
-            pi[x] = dinv[succ[x]]
+    for row in _anchored_rows(n):
+        pos, succ = _row_tables(row)
+        pi = [dinv[y] for y in succ]
         a = sum(1 for x in range(n) if pos[x] < pos[pi[x]])
-        key = (a, _cycle_type_of(pi))
+        key = (a, _array_cycle_type(pi))
         counts[key] = counts.get(key, 0) + 1
     return CountTable(n, lam, counts)
 
@@ -184,12 +156,12 @@ def _ordinary_tables(
     diag = [0] * n
     for images in itertools.permutations(range(n)):
         a = sum(1 for x in range(n) if images[x] > x)
-        k = len(_cycle_type_of(images))
+        k = len(_array_cycle_type(images))
         for x, y in enumerate(images):
             inv[y] = x
         for x in range(n):
             diag[x] = (inv[x] + 1) % n
-        lam = _cycle_type_of(diag)
+        lam = _array_cycle_type(diag)
         by_ak[(a, k)] = by_ak.get((a, k), 0) + 1
         by_akl[(a, k, lam)] = by_akl.get((a, k, lam), 0) + 1
     return by_ak, by_akl
@@ -219,15 +191,10 @@ def xi_brute_all(n: int) -> dict[int, int]:
     with ``gamma = (0 1 .. n-1)``.  The independent check for :func:`xi`.
     """
     hist: dict[int, int] = {}
-    ainv = [0] * n
-    beta = [0] * n
-    for order in itertools.permutations(range(1, n)):
-        seq = (0, *order)
-        for i, x in enumerate(seq):
-            ainv[seq[(i + 1) % n]] = x
-        for x in range(n):
-            beta[x] = ainv[(x + 1) % n]
-        k = len(_cycle_type_of(beta))
+    for row in _anchored_rows(n):
+        _, ainv = _row_tables(row[::-1])  # alpha^-1 walks the row backwards
+        beta = [ainv[(x + 1) % n] for x in range(n)]
+        k = len(_array_cycle_type(beta))
         hist[k] = hist.get(k, 0) + 1
     return hist
 
@@ -501,13 +468,13 @@ def W_count(lam: Partition, mu: Partition, eta: Partition) -> int:
     ainv = [0] * n
     beta = [0] * n
     for images in itertools.permutations(range(n)):
-        if _cycle_type_of(images) != mu.parts:
+        if _array_cycle_type(images) != mu.parts:
             continue
         for x, y in enumerate(images):
             ainv[y] = x
         for x in range(n):
             beta[x] = ainv[gimg[x]]
-        if _cycle_type_of(beta) == eta.parts:
+        if _array_cycle_type(beta) == eta.parts:
             count += 1
     return count
 
@@ -632,7 +599,6 @@ def suite_bijection(n: int, *, jobs: int = 1, limit: int = 7) -> VerifyReport:
     ]
     parts = pmap(_bijection_job, tasks, jobs)
     rep = merge_reports(f"bijection n<={n}", parts)
-    rep.info.clear()
     rep.info["diagonals"] = len(tasks)
     for key in ("y1", "y2", "y3"):
         rep.info[key] = sum(part.info.get(key, 0) for part in parts)
@@ -668,34 +634,25 @@ def _trisection_job(args: tuple[int, tuple[tuple[int, int], ...]]) -> VerifyRepo
         dimg[x] = y
         dimg[y] = x
     rep = VerifyReport(f"trisection m={m} pairs={pairs}")
-    succ = [0] * size
-    pos = [0] * size
-    pi = [0] * size
-    seen = [False] * size
-    for order in itertools.permutations(range(1, size)):
-        row = (0, *order)
-        for i, x in enumerate(row):
-            succ[x] = row[(i + 1) % size]
-            pos[x] = i
-        for x in range(size):
-            pi[x] = dimg[succ[x]]  # the diagonal is an involution
+    for row in _anchored_rows(size):
+        pos, succ = _row_tables(row)
+        pi = [dimg[y] for y in succ]  # the diagonal is an involution
         aex = sum(1 for x in range(size) if pos[x] >= pos[pi[x]])
-        for x in range(size):
-            seen[x] = False
+        seen = [False] * size
         cycle_count = 0
         trivial = []
         for x in range(size):
             if seen[x]:
                 continue
             cycle_count += 1
-            elems = []
+            best = x  # the label mapping onto the cycle's minimum
             y = x
             while not seen[y]:
                 seen[y] = True
-                elems.append(y)
+                if pos[pi[y]] < pos[pi[best]]:
+                    best = y
                 y = pi[y]
-            best = min(range(len(elems)), key=lambda t: pos[elems[t]])
-            trivial.append(elems[best - 1])  # maps onto the cycle's minimum
+            trivial.append(best)
         genus2 = m + 1 - cycle_count
         triv_set = set(trivial)
         ntae = sum(
@@ -744,7 +701,6 @@ def suite_trisection(m_max: int, *, jobs: int = 1) -> VerifyReport:
     ]
     parts = pmap(_trisection_job, tasks, jobs)
     rep = merge_reports(f"trisection m<={m_max}", parts)
-    rep.info.clear()
     rep.info["pairings"] = len(tasks)
     return rep
 

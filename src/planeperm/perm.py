@@ -233,10 +233,10 @@ def count_cycles(images: Sequence[int]) -> int:
     return count
 
 
-def array_cycle_counts(images: Sequence[int]) -> tuple[int, int, int]:
-    """``(cycles, odd cycles, even cycles)`` of a 0-based image array."""
+def _array_cycle_type(images: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of a 0-based image array, largest first."""
     seen = [False] * len(images)
-    total = odd = 0
+    lengths = []
     for start in range(len(images)):
         if not seen[start]:
             length = 0
@@ -245,9 +245,16 @@ def array_cycle_counts(images: Sequence[int]) -> tuple[int, int, int]:
                 seen[x] = True
                 x = images[x]
                 length += 1
-            total += 1
-            odd += length % 2
-    return total, odd, total - odd
+            lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
+
+
+def array_cycle_counts(images: Sequence[int]) -> tuple[int, int, int]:
+    """``(cycles, odd cycles, even cycles)`` of a 0-based image array."""
+    lengths = _array_cycle_type(images)
+    odd = sum(length % 2 for length in lengths)
+    return len(lengths), odd, len(lengths) - odd
 
 
 def cycle_from_sequence(seq: Sequence[int]) -> Permutation:

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .perm import Permutation, count_cycles, cycle_from_sequence
 from .report import VerifyReport, merge_reports, pmap
@@ -276,29 +276,14 @@ class PlanePermutation:
         untouched.
         """
         move.validate(len(self.s))
-        s, pi = self.s, self.pi
-        i, j, k, l = move.i, move.j, move.k, move.l
-        if move.is_transpose:
-            patch = {s[i - 1]: pi(s[j]), s[j]: pi(s[l]), s[l]: pi(s[i - 1])}
-        else:
-            patch = {
-                s[i - 1]: pi(s[k - 1]),
-                s[j]: pi(s[l]),
-                s[k - 1]: pi(s[i - 1]),
-                s[l]: pi(s[j]),
-            }
-        return PlanePermutation(swap_blocks(s, move), pi.updated(patch))
+        patch = _patch(_move_points(self.s, move), self.pi)
+        return PlanePermutation(swap_blocks(self.s, move), self.pi.updated(patch))
 
     def classify(self, move: BlockInterchange) -> TransposeCase:
         """Which of the cycle-change cases ``move`` falls into."""
         move.validate(len(self.s))
-        cid, cpos, clen = _cycle_tables(self.pi)
-        s = self.s
-        if move.is_transpose:
-            pts = (s[move.i - 1], s[move.j], s[move.l])
-        else:
-            pts = (s[move.i - 1], s[move.j], s[move.k - 1], s[move.l])
-        return _classify_points(cid, cpos, clen, pts)
+        tables = _cycle_tables(self.pi.labels, self.pi)
+        return _classify_points(*tables, _move_points(self.s, move))
 
     # -- slice and glue -------------------------------------------------
 
@@ -387,23 +372,42 @@ class PlanePermutation:
         return self.two_row_str()
 
 
-# -- classification internals -------------------------------------------
+# -- block-interchange internals -----------------------------------------
 
 
-def _cycle_tables(pi: Permutation):
+def _move_points(s: Sequence[int], move: BlockInterchange) -> tuple[int, ...]:
+    """The labels whose image a move patches: the label just before each
+    block and the last label of each block (three for a transpose)."""
+    i, j, k, l = move.i, move.j, move.k, move.l
+    if move.is_transpose:
+        return (s[i - 1], s[j], s[l])
+    return (s[i - 1], s[j], s[k - 1], s[l])
+
+
+def _patch(pts: tuple[int, ...], image: Callable[[int], int]) -> dict[int, int]:
+    """New images at ``pts`` that keep the diagonal fixed: a transpose
+    rotates three images, a block interchange swaps two pairs."""
+    if len(pts) == 3:
+        x, y, z = pts
+        return {x: image(y), y: image(z), z: image(x)}
+    w, x, y, z = pts
+    return {w: image(y), x: image(z), y: image(w), z: image(x)}
+
+
+def _cycle_tables(labels: Iterable[int], image: Callable[[int], int]):
     """Per label: cycle id, index within the cycle walk, cycle length."""
     cid: dict[int, int] = {}
     cpos: dict[int, int] = {}
     clen: dict[int, int] = {}
     next_id = 0
-    for x in pi.labels:
+    for x in labels:
         if x in cid:
             continue
         y, steps = x, 0
         while y not in cid:
             cid[y] = next_id
             cpos[y] = steps
-            y = pi(y)
+            y = image(y)
             steps += 1
         clen[next_id] = steps
         next_id += 1
@@ -463,6 +467,24 @@ def _all_moves(n: int) -> tuple[BlockInterchange, ...]:
     )
 
 
+def _row_tables(row: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Position and successor of each label of a top row on 0..n-1."""
+    pos = [0] * len(row)
+    succ = [0] * len(row)
+    prev = row[-1]
+    for t, x in enumerate(row):
+        pos[x] = t
+        succ[prev] = x
+        prev = x
+    return pos, succ
+
+
+def _anchored_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Every top row on 0..n-1 written from the anchor 0: (n-1)! of them."""
+    for rest in permutations(range(1, n)):
+        yield (0, *rest)
+
+
 def _check_structure(rep: VerifyReport, n, s, pi, pos, succ, moves) -> None:
     """All per-pair invariants, on 0-based arrays for speed."""
     diag = [0] * n
@@ -470,65 +492,42 @@ def _check_structure(rep: VerifyReport, n, s, pi, pos, succ, moves) -> None:
         diag[pi[x]] = succ[x]
     exc = sum(1 for x in range(n) if pos[x] < pos[pi[x]])
     aex_diag = sum(1 for x in range(n) if pos[x] >= pos[diag[x]])
-    ctx = f"n={n} s={s} pi={pi}"
-    rep.check(exc == aex_diag - 1, f"{ctx}: exceedance/diagonal mismatch")
+
+    def ctx() -> str:
+        return f"n={n} s={s} pi={pi}"
+
+    rep.check(exc == aex_diag - 1, lambda: f"{ctx()}: exceedance/diagonal mismatch")
     c_pi = count_cycles(pi)
     c_diag = count_cycles(diag)
-    rep.check(c_pi + c_diag <= n + 1, f"{ctx}: cycle bound broken")
-    rep.check((c_pi + c_diag - (n - 1)) % 2 == 0, f"{ctx}: cycle parity broken")
+    rep.check(c_pi + c_diag <= n + 1, lambda: f"{ctx()}: cycle bound broken")
+    rep.check((c_pi + c_diag - (n - 1)) % 2 == 0, lambda: f"{ctx()}: cycle parity broken")
     rotation_ok = all(
         sum(1 for x in range(n) if (pos[x] - r) % n < (pos[pi[x]] - r) % n) == exc
         for r in range(1, n)
     )
-    rep.check(rotation_ok, f"{ctx}: exceedance count not rotation invariant")
+    rep.check(rotation_ok, lambda: f"{ctx()}: exceedance count not rotation invariant")
 
-    cid: dict[int, int] = {}
-    cpos: dict[int, int] = {}
-    clen: dict[int, int] = {}
-    next_id = 0
-    for x in range(n):
-        if x in cid:
-            continue
-        y, steps = x, 0
-        while y not in cid:
-            cid[y] = next_id
-            cpos[y] = steps
-            y = pi[y]
-            steps += 1
-        clen[next_id] = steps
-        next_id += 1
-
+    image = pi.__getitem__
+    tables = _cycle_tables(range(n), image)
     for move in moves:
-        i, j, k, l = move.i, move.j, move.k, move.l
+        pts = _move_points(s, move)
         patched = list(pi)
-        if move.is_transpose:
-            pts = (s[i - 1], s[j], s[l])
-            patched[s[i - 1]] = pi[s[j]]
-            patched[s[j]] = pi[s[l]]
-            patched[s[l]] = pi[s[i - 1]]
-        else:
-            pts = (s[i - 1], s[j], s[k - 1], s[l])
-            patched[s[i - 1]] = pi[s[k - 1]]
-            patched[s[j]] = pi[s[l]]
-            patched[s[k - 1]] = pi[s[i - 1]]
-            patched[s[l]] = pi[s[j]]
-        case = _classify_points(cid, cpos, clen, pts)
+        for x, y in _patch(pts, image).items():
+            patched[x] = y
+        case = _classify_points(*tables, pts)
         delta = count_cycles(patched) - c_pi
         want = case.cycle_delta
         ok = delta in (-2, 0) if want is None else delta == want
         if move.is_transpose:
             ok = ok and case.value in "123456"
-        rep.check(ok, f"{ctx} move={move}: case={case.value} delta={delta}")
+        # ``check`` formats a failure at once, so the closure sees this move.
+        rep.check(ok, lambda: f"{ctx()} move={move}: case={case.value} delta={delta}")
 
 
 def _sweep_block(args) -> VerifyReport:
     n, s = args
     rep = VerifyReport(f"invariants n={n}")
-    pos = [0] * n
-    succ = [0] * n
-    for t, x in enumerate(s):
-        pos[x] = t
-        succ[x] = s[(t + 1) % n]
+    pos, succ = _row_tables(s)
     moves = _all_moves(n)
     for pi in permutations(range(n)):
         _check_structure(rep, n, s, pi, pos, succ, moves)
@@ -549,11 +548,7 @@ def invariant_sweep(
     form is a relabeling of one of these, and the invariants are
     relabeling covariant.  The randomized part draws arbitrary anchors.
     """
-    blocks = [
-        (n, (0, *rest))
-        for n in range(1, n_max + 1)
-        for rest in permutations(range(1, n))
-    ]
+    blocks = [(n, row) for n in range(1, n_max + 1) for row in _anchored_rows(n)]
     total = merge_reports("invariant-sweep", pmap(_sweep_block, blocks, jobs))
     rng = random.Random(seed)
     rand = VerifyReport("invariants random")
@@ -563,11 +558,7 @@ def invariant_sweep(
         rng.shuffle(s)
         pi = list(range(n))
         rng.shuffle(pi)
-        pos = [0] * n
-        succ = [0] * n
-        for t, x in enumerate(s):
-            pos[x] = t
-            succ[x] = s[(t + 1) % n]
+        pos, succ = _row_tables(s)
         i = rng.randint(1, n - 2)
         j = rng.randint(i, n - 2)
         k = rng.randint(j + 1, n - 1)

@@ -19,7 +19,8 @@ class VerifyReport:
     ``checked`` counts individual assertions, ``failure_count`` the ones
     that did not hold.  Only the first few failure descriptions are kept.
     ``info`` carries side observations (rates, totals) that do not affect
-    the verdict.
+    the verdict; merging leaves it to the caller, which knows how the parts'
+    observations add up.
     """
 
     name: str
@@ -47,8 +48,6 @@ class VerifyReport:
         for text in other.failures:
             if len(self.failures) < MAX_STORED_FAILURES:
                 self.failures.append(f"{other.name}: {text}")
-        for key, value in other.info.items():
-            self.info.setdefault(key, value)
 
     def summary_line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

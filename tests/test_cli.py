@@ -214,6 +214,46 @@ def test_verify_cap_propagates():
     assert result.stderr.startswith("error:")
 
 
+def test_verify_rev_oracle_totals_cover_every_size():
+    result = run("verify", "rev-oracle", "5")
+    assert result.exit_code == 0
+    assert result.stdout == (
+        "PASS rev-oracle-n5 checked=4282\n"
+        "  states=4282\n"
+        "  tight=4075\n"
+        "  tight_rate=4075/4282\n"
+        "  breakpoint_disagreements=0\n"
+    )
+
+
+def test_verify_rev_oracle_cap_is_an_error():
+    result = run("verify", "rev-oracle", "9")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: rev-oracle capped at n=6 (asked 9)\n"
+
+
+def test_verify_n_below_one_is_a_usage_error():
+    for n in ("0", "-1"):
+        result = run("verify", "stirling", "--", n)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Invalid value for 'N'" in result.stderr
+
+
+def test_verify_checking_nothing_is_a_usage_error():
+    for suite, n in (
+        ("f-recurrence", "1"),
+        ("cycle-recurrence", "1"),
+        ("bijection", "1"),
+        ("bijection", "2"),
+    ):
+        result = run("verify", suite, n)
+        assert result.exit_code == 2, (suite, n)
+        assert result.stdout == ""
+        assert "checks nothing" in result.stderr
+
+
 # -- conjecture -----------------------------------------------------------
 
 
@@ -229,6 +269,13 @@ def test_conjecture_all_small():
     result = run("conjecture", "same-cycle-all", "3")
     assert result.exit_code == 0
     assert "scanned=48" in result.stdout
+
+
+def test_conjecture_n_below_one_is_a_usage_error():
+    result = run("conjecture", "same-cycle-all", "0")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Invalid value for 'N'" in result.stderr
 
 
 def test_conjecture_cap():

@@ -24,7 +24,10 @@ from planeperm.distances import (
     breakpoint_bound,
     breakpoint_graph,
     brute_max_cycle_gap,
+    check_bid_bfs_at,
+    check_bid_histogram_at,
     check_rev_bounds_at,
+    check_td_bound_at,
     conjecture_scan,
     cycle_gaps,
     find_2_reversal,
@@ -41,6 +44,7 @@ from planeperm.distances import (
     sorted_sequence,
     suite_bid_oracle,
     suite_max_gap,
+    suite_rev_oracle,
     suite_td_oracle,
     td_lower_bound,
 )
@@ -368,6 +372,32 @@ def test_bfs_cap():
         bfs_distances(sorted_sequence(5), "transpositions", cap=10)
 
 
+@pytest.mark.parametrize(
+    "kind, states",
+    [
+        ("transpositions", list(itertools.permutations(range(1, 5)))),
+        ("block_interchanges", list(itertools.permutations(range(1, 5)))),
+        ("reversals", list(all_signed(3))),
+    ],
+)
+def test_bfs_distance_matches_the_full_search(kind, states):
+    for start in states:
+        table = bfs_distances(start, kind)
+        assert len(table) == len(states)
+        for goal in states:
+            assert bfs_distance(start, goal, kind) == table[goal]
+
+
+def test_bfs_distance_stops_at_the_goal():
+    goal = sorted_sequence(9)
+    swapped = (2, 1, *goal[2:])
+    assert bfs_distance(swapped, goal, "transpositions", cap=1000) == 1
+    with pytest.raises(SearchCapExceeded):
+        bfs_distances(swapped, "transpositions", cap=1000)
+    with pytest.raises(ValueError, match="unreachable"):
+        bfs_distance((2, 1), (1, 2, 3), "transpositions")
+
+
 def test_generator_kinds():
     assert set(GENERATORS) == {"transpositions", "block_interchanges", "reversals"}
 
@@ -385,6 +415,31 @@ def test_small_suites_pass():
     assert suite_bid_oracle(4).passed
     assert suite_td_oracle(4).passed
     assert suite_max_gap(4, samples=50, sample_n=5).passed
+
+
+def test_merged_oracle_info_covers_every_part():
+    sizes = range(1, 5)
+    bid_rep = suite_bid_oracle(4)
+    assert bid_rep.info["states"] == sum(check_bid_bfs_at(m).info["states"] for m in sizes)
+    for m in sizes:
+        assert bid_rep.info[f"histogram_n{m}"] == check_bid_histogram_at(m).info["histogram"]
+    td_rep = suite_td_oracle(4)
+    assert td_rep.info == {"tight": sum(check_td_bound_at(m).info["tight"] for m in sizes)}
+    rev_parts = [check_rev_bounds_at(m) for m in sizes]
+    tight = sum(part.info["tight"] for part in rev_parts)
+    assert suite_rev_oracle(4).info == {
+        "states": sum(part.info["states"] for part in rev_parts),
+        "tight": tight,
+        "tight_rate": f"{tight}/{sum(part.checked for part in rev_parts)}",
+        "breakpoint_disagreements": 0,
+    }
+
+
+def test_rev_oracle_refuses_sizes_beyond_its_cap():
+    with pytest.raises(SearchCapExceeded, match=r"capped at n=6 \(asked 7\)"):
+        suite_rev_oracle(7)
+    with pytest.raises(SearchCapExceeded, match=r"capped at n=7 \(asked 8\)"):
+        suite_rev_oracle(8, allow_large=True)
 
 
 # -- randomized properties ------------------------------------------------

@@ -47,7 +47,8 @@ def test_absorb_prefixes_names():
     outer.absorb(inner)
     assert outer.checked == 1
     assert outer.failures == ["inner: bad"]
-    assert outer.info["n"] == 3
+    # One part's observations are not the whole's; the merging suite sets them.
+    assert outer.info == {}
 
 
 def test_merge_reports():
