@@ -188,13 +188,11 @@ def _enumerate_values(kind: str, n: int, lam: Partition | None, allow_large: boo
 
 @main.command(name="enumerate")
 @click.argument("kind", type=click.Choice(("xi", "stirling", "pk-lambda", "bid-k")))
-@click.argument("n", type=int)
+@click.argument("n", type=click.IntRange(min=1))
 @click.option("--lam", help="Diagonal cycle type for pk-lambda, e.g. '2+1' or '1^2 2^1'.")
 @click.pass_obj
 def enumerate_cmd(settings: Settings, kind, n, lam) -> None:
     """Count tables at size N, one value per k."""
-    if n < 1:
-        raise click.UsageError("N must be positive")
     lam_p = None
     if kind == "pk-lambda":
         if not lam:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .partitions import exact_div, stirling_first
 from .perm import Permutation, array_cycle_counts, count_cycles, parse_sequence
 from .plane import BlockInterchange, PlanePermutation, TransposeCase, swap_blocks
-from .report import VerifyReport, merge_reports
+from .report import VerifyReport, merge_reports, size_gate
 
 DEFAULT_BFS_CAP = 10**7
 
@@ -489,9 +489,7 @@ def all_signed(n: int) -> Iterator[tuple[int, ...]]:
             yield tuple(m * s for m, s in zip(magnitudes, signs))
 
 
-def conjecture_scan(
-    n: int, which: str, *, limit: int = 6, allow_large: bool = False
-) -> VerifyReport:
+def conjecture_scan(n: int, which: str, *, allow_large: bool = False) -> VerifyReport:
     """Scan signed permutations for the same-cycle property of the vertical.
 
     ``which`` selects the population: ``"same-cycle-exact"`` restricts to
@@ -501,38 +499,26 @@ def conjecture_scan(
     lie in one vertical cycle.  Counterexamples are collected, never raised;
     none are known.
     """
+    size_gate("conjecture scan", n, 7 if allow_large else 6, SearchCapExceeded)
     if which not in ("same-cycle-exact", "same-cycle-all"):
         raise ValueError(f"unknown conjecture scan {which!r}")
-    if allow_large:
-        limit = max(limit, 7)
-    if n > limit:
-        raise SearchCapExceeded(f"conjecture scan capped at n={limit} (asked {n})")
+    exact_only = which == "same-cycle-exact"
     report = VerifyReport(f"conjecture-{which}-n{n}")
     scanned = 0
     for a in all_signed(n):
         scanned += 1
-        if which == "same-cycle-exact":
-            if not is_exact(a):
-                continue
-            p = signed_plane(a)
-            if not any(
-                p.pi(p.s[i - 1]) == p.s[2 * n + 1 - i] for i in range(1, n + 1)
-            ):
-                continue
-            same = p.pi.same_cycle(n, p.s[n])
-        else:
-            images, packed = _signed_vertical(a)
-            x = n  # packed slot of the label n
-            target = packed[n]  # packed slot of the middle entry
-            same = x == target
-            if not same:
-                y = images[x]
-                while y != x:
-                    if y == target:
-                        same = True
-                        break
-                    y = images[y]
-        report.check(same, lambda a=a: f"n and middle entry split at {format_signed(a)}")
+        if exact_only and not is_exact(a):
+            continue
+        images, packed = _signed_vertical(a)  # the label n sits in packed slot n
+        if exact_only and not any(
+            images[packed[i - 1]] == packed[2 * n + 1 - i] for i in range(1, n + 1)
+        ):
+            continue
+        middle = packed[n]
+        y = images[n]
+        while y != n and y != middle:
+            y = images[y]
+        report.check(y == middle, lambda a=a: f"n and middle entry split at {format_signed(a)}")
     report.info["instances"] = report.checked
     report.info["scanned"] = scanned
     return report
@@ -703,15 +689,13 @@ def check_bid_histogram_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
     return report
 
 
-def suite_bid_oracle(
-    n: int, *, bfs_limit: int = 7, cap: int = DEFAULT_BFS_CAP
-) -> VerifyReport:
+def suite_bid_oracle(n: int, *, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
     """BFS equality, scenario replay, and the distance histogram, for sizes up to n."""
+    size_gate("bid-oracle", n, 7, SearchCapExceeded)
     parts = []
     for m in range(1, n + 1):
-        if m <= bfs_limit:
-            parts.append(check_bid_bfs_at(m, cap))
-            parts.append(check_bid_histogram_at(m, cap))
+        parts.append(check_bid_bfs_at(m, cap))
+        parts.append(check_bid_histogram_at(m, cap))
         parts.append(check_bid_replay_at(m))
     merged = merge_reports(f"bid-oracle-n{n}", parts)
     merged.info["states"] = sum(part.info.get("states", 0) for part in parts)
@@ -770,9 +754,7 @@ def check_rev_bounds_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
 def suite_rev_oracle(
     n: int, *, cap: int = DEFAULT_BFS_CAP, allow_large: bool = False
 ) -> VerifyReport:
-    limit = 7 if allow_large else 6
-    if n > limit:
-        raise SearchCapExceeded(f"rev-oracle capped at n={limit} (asked {n})")
+    size_gate("rev-oracle", n, 7 if allow_large else 6, SearchCapExceeded)
     parts = [check_rev_bounds_at(m, cap) for m in range(1, n + 1)]
     merged = merge_reports(f"rev-oracle-n{n}", parts)
     for key in ("states", "tight"):
@@ -788,6 +770,7 @@ def suite_max_gap(
     n: int, *, samples: int = 10**4, sample_n: int = 6, seed: int = 0
 ) -> VerifyReport:
     """Closed-form cycle gap versus brute force: exhaustive small, sampled at 6."""
+    size_gate("max-gap", n, 6, SearchCapExceeded)
     report = VerifyReport(f"max-gap-n{n}")
     for m in range(1, min(n, 5) + 1):
         labels = range(1, m + 1)

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .partitions import (
     Partition,
@@ -29,7 +29,7 @@ from .partitions import (
 )
 from .perm import Permutation, _array_cycle_type
 from .plane import PlanePermutation, _anchored_rows, _row_tables
-from .report import VerifyReport, merge_reports, pmap
+from .report import VerifyReport, merge_reports, pmap, size_gate
 
 DEFAULT_TABULATE_LIMIT = 8
 HARD_TABULATE_LIMIT = 10
@@ -39,8 +39,8 @@ class EnumerationLimitError(RuntimeError):
     """An exhaustive count would exceed the configured size limit."""
 
 
-def enumerate_U_D(diag: Permutation, limit: int = 10) -> Iterator[PlanePermutation]:
-    """All plane permutations with the given diagonal.
+def enumerate_U_D(diag: Permutation) -> Iterator[PlanePermutation]:
+    """All plane permutations with the given diagonal, on at most 10 labels.
 
     The top row runs over every cyclic order of the labels, anchored at the
     smallest one, so there are ``(n-1)!`` results.
@@ -50,13 +50,12 @@ def enumerate_U_D(diag: Permutation, limit: int = 10) -> Iterator[PlanePermutati
     [(1, 2, 3), (1, 3, 2)]
     """
     labels = diag.labels
-    if len(labels) > limit:
-        raise EnumerationLimitError(
-            f"{len(labels)} labels would mean {len(labels) - 1}! top rows; limit is {limit}"
-        )
+    size_gate("enumerate_U_D", len(labels), 10, EnumerationLimitError)
     head, rest = labels[0], labels[1:]
-    for order in itertools.permutations(rest):
-        yield PlanePermutation.from_diagonal((head, *order), diag)
+    return (
+        PlanePermutation.from_diagonal((head, *order), diag)
+        for order in itertools.permutations(rest)
+    )
 
 
 @dataclass(frozen=True)
@@ -112,16 +111,14 @@ def tabulate(n: int, lam: Partition, *, allow_large: bool = False) -> CountTable
     >>> [t.p_k(k) for k in (1, 2, 3)]
     [1, 0, 1]
     """
+    size_gate(
+        "tabulate",
+        n,
+        HARD_TABULATE_LIMIT if allow_large else DEFAULT_TABULATE_LIMIT,
+        EnumerationLimitError,
+    )
     if lam.n != n:
         raise ValueError(f"{lam} is not a partition of {n}")
-    if n > HARD_TABULATE_LIMIT:
-        raise EnumerationLimitError(
-            f"tabulating {n} symbols means {n - 1}! rows; the hard limit is {HARD_TABULATE_LIMIT}"
-        )
-    if n > DEFAULT_TABULATE_LIMIT and not allow_large:
-        raise EnumerationLimitError(
-            f"tabulating {n} symbols needs allow_large=True (default limit {DEFAULT_TABULATE_LIMIT})"
-        )
     return _tabulate_cached(n, lam.parts)
 
 
@@ -165,6 +162,13 @@ def _ordinary_tables(
         by_ak[(a, k)] = by_ak.get((a, k), 0) + 1
         by_akl[(a, k, lam)] = by_akl.get((a, k, lam), 0) + 1
     return by_ak, by_akl
+
+
+def _higher_cycles(f: Callable[[int], int], n: int, k: int) -> int:
+    """``sum(binomial(k + 2i, k - 1) * f(k + 2i))`` over ``i >= 1`` with
+    ``k + 2i <= n``: the higher cycle counts every recurrence here trades
+    against the count at ``k``."""
+    return sum(binomial(j, k - 1) * f(j) for j in range(k + 2, n + 1, 2))
 
 
 # -- full-cycle products ------------------------------------------------
@@ -218,10 +222,7 @@ def zagier_stanley_check(n: int) -> VerifyReport:
         if (n - k) % 2:
             continue
         lhs = (n + 1 - k) * xi(n, k)
-        rhs = sum(
-            binomial(k + 2 * i, k - 1) * xi(n, k + 2 * i)
-            for i in range(1, (n - k) // 2 + 1)
-        ) + stirling_first(n, k)
+        rhs = _higher_cycles(partial(xi, n), n, k) + stirling_first(n, k)
         rep.check(lhs == rhs, lambda k=k, lhs=lhs, rhs=rhs: f"n={n} k={k}: {lhs} != {rhs}")
     return rep
 
@@ -234,10 +235,8 @@ def verify_stirling_recurrence(n_max: int) -> VerifyReport:
     for n in range(1, n_max + 1):
         for k in range(1, n + 2):
             lhs = (n + 1 - k) * stirling_first(n + 1, k)
-            rhs = sum(
-                binomial(k + 2 * i, k - 1) * stirling_first(n + 1, k + 2 * i)
-                for i in range(1, (n + 1 - k) // 2 + 1)
-            ) + binomial(n + 1, 2) * stirling_first(n, k)
+            rhs = _higher_cycles(partial(stirling_first, n + 1), n + 1, k)
+            rhs += binomial(n + 1, 2) * stirling_first(n, k)
             rep.check(
                 lhs == rhs,
                 lambda n=n, k=k, lhs=lhs, rhs=rhs: f"n={n} k={k}: {lhs} != {rhs}",
@@ -252,10 +251,7 @@ def exceedance_totals(n: int, k: int) -> tuple[int, int]:
     >>> exceedance_totals(3, 1)
     (3, 3)
     """
-    direct = (n - k) * stirling_first(n, k) - sum(
-        binomial(k + 2 * i, k - 1) * stirling_first(n, k + 2 * i)
-        for i in range(1, (n - k) // 2 + 1)
-    )
+    direct = (n - k) * stirling_first(n, k) - _higher_cycles(partial(stirling_first, n), n, k)
     product = binomial(n, 2) * stirling_first(n - 1, k)
     if direct != product:
         raise AssertionError(f"exceedance totals disagree at n={n} k={k}: {direct}, {product}")
@@ -277,10 +273,7 @@ def verify_ntae_identity(n: int, lam: Partition, k: int) -> VerifyReport:
         raise ValueError("k must be positive")
     table = tabulate(n, lam)
     lhs = sum((n - a - k) * table.p_a_k(a, k) for a in range(n))
-    rhs = sum(
-        binomial(k + 2 * i, k - 1) * table.p_k(k + 2 * i)
-        for i in range(1, (n - k) // 2 + 1)
-    )
+    rhs = _higher_cycles(table.p_k, n, k)
     rep = VerifyReport(f"ntae-identity n={n} lam={lam} k={k}")
     rep.check(lhs == rhs, f"n={n} lam={lam} k={k}: {lhs} != {rhs}")
     return rep
@@ -352,10 +345,7 @@ def verify_cycle_recurrence(n: int, lam: Partition, k: int) -> VerifyReport:
     q_lam = q_lambda(lam)
     table = tabulate(n, lam)
     lhs = table.p_k(k) * q_lam * (n + 1 - k - len(lam))
-    same_diag = q_lam * sum(
-        binomial(k + 2 * i, k - 1) * table.p_k(k + 2 * i)
-        for i in range(1, (n - k) // 2 + 1)
-    )
+    same_diag = q_lam * _higher_cycles(table.p_k, n, k)
     split_diag = sum(
         kappa(mu, lam) * tabulate(n, mu).p_k(k) * q_lambda(mu)
         for i in range(1, n // 2 + 1)
@@ -482,7 +472,7 @@ def W_count(lam: Partition, mu: Partition, eta: Partition) -> int:
 # -- the slice/glue bijection ------------------------------------------
 
 
-def verify_bijection(diag: Permutation, *, limit: int = 7) -> VerifyReport:
+def verify_bijection(diag: Permutation) -> VerifyReport:
     """Match every slice against the direct census of marked planes.
 
     Slicing a plane with ``b`` bottom cycles at a non-trivial
@@ -495,12 +485,9 @@ def verify_bijection(diag: Permutation, *, limit: int = 7) -> VerifyReport:
     agree level by level.
     """
     n = len(diag.labels)
-    if n > limit:
-        raise EnumerationLimitError(
-            f"bijection check over {n} labels exceeds the limit of {limit}"
-        )
+    size_gate("bijection", n, 7, EnumerationLimitError)
     rep = VerifyReport(f"bijection n={n} diag={diag.cycles()}")
-    planes = list(enumerate_U_D(diag, limit=limit))
+    planes = list(enumerate_U_D(diag))
     by_top = {p.s: p for p in planes}
 
     # forward: slice everything, demanding distinct keys and clean returns
@@ -590,8 +577,9 @@ def _bijection_job(args: tuple[int, tuple[int, ...]]) -> VerifyReport:
     return verify_bijection(Permutation(tuple(range(1, m + 1)), images))
 
 
-def suite_bijection(n: int, *, jobs: int = 1, limit: int = 7) -> VerifyReport:
+def suite_bijection(n: int, *, jobs: int = 1) -> VerifyReport:
     """Slice/glue bijection over every diagonal of every size up to ``n``."""
+    size_gate("bijection", n, 7, EnumerationLimitError)
     tasks = [
         (m, images)
         for m in range(1, n + 1)
@@ -709,6 +697,7 @@ def suite_trisection(m_max: int, *, jobs: int = 1) -> VerifyReport:
 
 
 def suite_ntae_identity(n: int) -> VerifyReport:
+    size_gate("ntae-identity", n, DEFAULT_TABULATE_LIMIT, EnumerationLimitError)
     parts = [
         verify_ntae_identity(m, lam, k)
         for m in range(1, n + 1)
@@ -720,6 +709,7 @@ def suite_ntae_identity(n: int) -> VerifyReport:
 
 def suite_f_recurrence(n: int) -> VerifyReport:
     """All valid type pairs, plus the parity filter on the invalid counts."""
+    size_gate("f-recurrence", n, DEFAULT_TABULATE_LIMIT, EnumerationLimitError)
     parts = []
     parity = VerifyReport("parity filter")
     for m in range(1, n + 1):
@@ -740,6 +730,7 @@ def suite_f_recurrence(n: int) -> VerifyReport:
 
 
 def suite_cycle_recurrence(n: int) -> VerifyReport:
+    size_gate("cycle-recurrence", n, DEFAULT_TABULATE_LIMIT, EnumerationLimitError)
     parts = [
         verify_cycle_recurrence(m, lam, k)
         for m in range(1, n + 1)
@@ -751,9 +742,10 @@ def suite_cycle_recurrence(n: int) -> VerifyReport:
 
 def suite_zagier_stanley(n: int) -> VerifyReport:
     """Closed form, recurrence, and the full-cycle-diagonal cross-check."""
+    size_gate("zagier-stanley", n, DEFAULT_TABULATE_LIMIT, EnumerationLimitError)
     parts = [zagier_stanley_check(m) for m in range(1, n + 1)]
     cross = VerifyReport("xi vs tabulated full-cycle diagonal")
-    for m in range(1, min(n, 7) + 1):
+    for m in range(1, n + 1):
         table = tabulate(m, Partition.of([m]))
         for k in range(1, m + 1):
             cross.check(
@@ -768,9 +760,10 @@ def suite_zagier_stanley(n: int) -> VerifyReport:
 
 def suite_exceedance(n: int) -> VerifyReport:
     """Exceedance totals and the transfer between ordinary and plane counts."""
+    size_gate("exceedance", n, DEFAULT_TABULATE_LIMIT, EnumerationLimitError)
     rep = VerifyReport(f"exceedance n<={n}")
     for m in range(1, n + 1):
-        by_ak, _ = _ordinary_tables(m)
+        by_ak, by_akl = _ordinary_tables(m)
         for k in range(1, m + 1):
             direct, _ = exceedance_totals(m, k)
             total_a = sum(a * c for (a, kk), c in by_ak.items() if kk == k)
@@ -781,10 +774,7 @@ def suite_exceedance(n: int) -> VerifyReport:
                 ),
             )
             lhs = sum((m - a - k) * c for (a, kk), c in by_ak.items() if kk == k)
-            rhs = sum(
-                binomial(k + 2 * i, k - 1) * stirling_first(m, k + 2 * i)
-                for i in range(1, (m - k) // 2 + 1)
-            )
+            rhs = _higher_cycles(partial(stirling_first, m), m, k)
             rep.check(
                 lhs == rhs,
                 lambda m=m, k=k, lhs=lhs, rhs=rhs: (
@@ -800,8 +790,6 @@ def suite_exceedance(n: int) -> VerifyReport:
                 by_ak.get((1, m - 1), 0) == binomial(m, 2),
                 f"m={m}: single-exceedance count should be the transposition count",
             )
-    for m in range(1, min(n, 7) + 1):
-        _, by_akl = _ordinary_tables(m)
         fact = factorial(m - 1)
         for lam in partitions_of(m):
             table = tabulate(m, lam)
@@ -820,6 +808,7 @@ def suite_exceedance(n: int) -> VerifyReport:
 
 
 def suite_p1(n: int) -> VerifyReport:
+    size_gate("p1", n, DEFAULT_TABULATE_LIMIT, EnumerationLimitError)
     rep = VerifyReport(f"p1 n<={n}")
     for m in range(1, n + 1):
         for lam in partitions_of(m):
@@ -838,8 +827,9 @@ def suite_p1(n: int) -> VerifyReport:
 
 def suite_w_identities(n: int) -> VerifyReport:
     """Symmetries of the type-product counts, and their full-cycle margin."""
+    size_gate("w-identities", n, 6, EnumerationLimitError)
     rep = VerifyReport(f"w-identities n<={n}")
-    for m in range(1, min(n, 5) + 1):
+    for m in range(1, n + 1):
         shapes = list(partitions_of(m))
         ones = Partition.of([1] * m)
         for lam in shapes:
@@ -866,7 +856,6 @@ def suite_w_identities(n: int) -> VerifyReport:
                         f"m={m} lam={lam} mu={mu}: identity margin should be 0/1"
                     ),
                 )
-    for m in range(1, min(n, 6) + 1):
         full = Partition.of([m])
         for k in range(1, m + 1):
             total = sum(

@@ -68,6 +68,16 @@ class VerifyReport:
         }
 
 
+def size_gate(what: str, n: int, gate: int, error: type[Exception]) -> None:
+    """Refuse a size above ``gate`` before any work starts.
+
+    A suite runs every one of its parts at every size up to ``n``; where it
+    cannot, it refuses ``n`` here rather than quietly checking less.
+    """
+    if n > gate:
+        raise error(f"{what} capped at n={gate} (asked {n})")
+
+
 def merge_reports(name: str, parts: Iterable[VerifyReport]) -> VerifyReport:
     total = VerifyReport(name)
     for part in parts:

@@ -2,7 +2,9 @@
 
 import json
 import math
+import time
 
+import pytest
 from click.testing import CliRunner
 
 import planeperm.cli as cli
@@ -130,9 +132,12 @@ def test_enumerate_usage_errors():
 def test_enumerate_size_gate():
     gated = run("enumerate", "pk-lambda", "9", "--lam", "9")
     assert gated.exit_code == 3
-    assert gated.stderr.startswith("error:")
+    assert gated.stderr == "error: tabulate capped at n=8 (asked 9)\n"
     lifted = run("--allow-large", "enumerate", "pk-lambda", "9", "--lam", "9")
     assert lifted.exit_code == 0
+    beyond = run("--allow-large", "enumerate", "pk-lambda", "11", "--lam", "11")
+    assert beyond.exit_code == 3
+    assert beyond.stderr == "error: tabulate capped at n=10 (asked 11)\n"
 
 
 def test_enumerate_big_integers_become_json_strings():
@@ -231,6 +236,37 @@ def test_verify_rev_oracle_cap_is_an_error():
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == "error: rev-oracle capped at n=6 (asked 9)\n"
+
+
+# (command, name in the message, gate, gate under --allow-large)
+SIZE_GATES = [
+    (("verify", "ntae-identity"), "ntae-identity", 8, 8),
+    (("verify", "f-recurrence"), "f-recurrence", 8, 8),
+    (("verify", "cycle-recurrence"), "cycle-recurrence", 8, 8),
+    (("verify", "zagier-stanley"), "zagier-stanley", 8, 8),
+    (("verify", "exceedance"), "exceedance", 8, 8),
+    (("verify", "p1"), "p1", 8, 8),
+    (("verify", "bijection"), "bijection", 7, 7),
+    (("verify", "w-identities"), "w-identities", 6, 6),
+    (("verify", "max-gap"), "max-gap", 6, 6),
+    (("verify", "bid-oracle"), "bid-oracle", 7, 7),
+    (("verify", "rev-oracle"), "rev-oracle", 6, 7),
+    (("conjecture", "same-cycle-exact"), "conjecture scan", 6, 7),
+    (("conjecture", "same-cycle-all"), "conjecture scan", 6, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "command, what, gate, large", SIZE_GATES, ids=[c[-1] for c, *_ in SIZE_GATES]
+)
+def test_size_gates_refuse_before_any_work(command, what, gate, large):
+    for flags, limit in (((), gate), (("--allow-large",), large)):
+        started = time.perf_counter()
+        result = run(*flags, *command, str(limit + 1))
+        assert time.perf_counter() - started < 1.0
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == f"error: {what} capped at n={limit} (asked {limit + 1})\n"
 
 
 def test_verify_n_below_one_is_a_usage_error():

@@ -11,6 +11,7 @@ from planeperm.distances import (
     SORTED_CASES,
     Reversal,
     SearchCapExceeded,
+    _signed_vertical,
     all_signed,
     apply_block_interchange,
     apply_reversal,
@@ -308,6 +309,21 @@ def test_td_lower_bound_matches_reference():
 def test_breakpoint_bound_matches_reference():
     for _, signed, _ in seeded_queries():
         assert breakpoint_bound(signed) == reference_breakpoint_bound(signed), signed
+
+
+def test_signed_vertical_matches_the_object_vertical():
+    for _, signed, _ in seeded_queries():
+        n = len(signed)
+        vertical = signed_plane(signed).pi
+
+        def pk(v):
+            return v if v >= 0 else n - v
+
+        images, packed = _signed_vertical(signed)
+        assert packed == [pk(v) for v in skew_seq(signed)], signed
+        assert all(images[pk(x)] == pk(vertical(x)) for x in vertical.labels), signed
+        total = vertical.cycle_counts()[0]
+        assert rev_lower_bound(signed) == (2 * n + 1 - total) // 2, signed
 
 
 def test_array_bounds_keep_their_errors():

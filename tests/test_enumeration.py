@@ -56,8 +56,8 @@ def test_enumerate_U_D_limit():
     diag = Permutation.identity(range(1, 13))
     with pytest.raises(EnumerationLimitError):
         list(enumerate_U_D(diag))
-    with pytest.raises(EnumerationLimitError):
-        list(enumerate_U_D(Permutation.identity(range(1, 6)), limit=4))
+    with pytest.raises(EnumerationLimitError, match=r"capped at n=10 \(asked 11\)"):
+        enumerate_U_D(Permutation.identity(range(1, 12)))  # refused before iteration
 
 
 def test_tabulate_smallest_cases():
