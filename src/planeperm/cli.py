@@ -18,7 +18,6 @@ from .serialize import schema_id, to_csv, to_json
 class Settings:
     fmt: str
     jobs: int
-    seed: int
     cap: int
     allow_large: bool
     out: str | None
@@ -41,7 +40,6 @@ class Settings:
     help="Output rendering.",
 )
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes for the big sweeps.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for the sampled checks.")
 @click.option(
     "--cap",
     type=int,
@@ -56,13 +54,13 @@ class Settings:
     help="Write the output to a file instead of stdout.",
 )
 @click.pass_context
-def main(ctx, fmt, jobs, seed, cap, allow_large, out) -> None:
+def main(ctx, fmt, jobs, cap, allow_large, out) -> None:
     """Distances, count tables, and verification for plane permutations.
 
     Exit codes: 0 all good, 1 a verification failed, 2 bad usage or input,
     3 a size or search cap was exceeded.
     """
-    ctx.obj = Settings(fmt, jobs, seed, cap, allow_large, out)
+    ctx.obj = Settings(fmt, jobs, cap, allow_large, out)
 
 
 def _run(thunk):
@@ -264,7 +262,7 @@ SUITE_RUNNERS: dict[str, Callable[[int, Settings], VerifyReport]] = {
     "bid-oracle": lambda n, s: distances.suite_bid_oracle(n, cap=s.cap),
     "rev-oracle": lambda n, s: distances.suite_rev_oracle(n, cap=s.cap, allow_large=s.allow_large),
     "td-oracle": lambda n, s: distances.suite_td_oracle(n, cap=s.cap),
-    "max-gap": lambda n, s: distances.suite_max_gap(n, seed=s.seed),
+    "max-gap": lambda n, s: distances.suite_max_gap(n),
 }
 
 

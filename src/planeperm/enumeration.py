@@ -414,15 +414,18 @@ def _p1_alternating(n: int, lam: Partition) -> int:
 
 
 def p1_routes(n: int, lam: Partition) -> dict[str, int]:
-    """The single-cycle count by every route that applies to this shape."""
+    """The single-cycle count by every route that applies to this shape.
+
+    The enumerated route always runs, so sizes above ``tabulate``'s gate
+    raise :class:`EnumerationLimitError`.
+    """
     if lam.n != n:
         raise ValueError(f"{lam} is not a partition of {n}")
     routes = {"alternating": _p1_alternating(n, lam)}
     product = _p1_product(n, lam)
     if product is not None:
         routes["product"] = product
-    if n <= DEFAULT_TABULATE_LIMIT:
-        routes["enumerated"] = tabulate(n, lam).p_k(1)
+    routes["enumerated"] = tabulate(n, lam).p_k(1)
     return routes
 
 
@@ -494,7 +497,7 @@ def verify_bijection(diag: Permutation) -> VerifyReport:
     sliced: set[tuple] = set()
     y1_per_b: dict[int, int] = {}
     for p in planes:
-        b = p.pi.cycle_counts()[0]
+        b = len(p.cycles_by_position())
         for eps in p.ntaes():
             y1_per_b[b] = y1_per_b.get(b, 0) + 1
             try:
@@ -682,6 +685,7 @@ def verify_trisection(diag: Permutation) -> VerifyReport:
 
 def suite_trisection(m_max: int, *, jobs: int = 1) -> VerifyReport:
     """Genus checks over every matching diagonal on ``2, 4, .., 2*m_max``."""
+    size_gate("trisection", m_max, 4, EnumerationLimitError)
     tasks = [
         (m, pairs)
         for m in range(1, m_max + 1)

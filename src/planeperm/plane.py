@@ -240,24 +240,26 @@ class PlanePermutation:
         pos = self._pos
         return min(labels, key=pos.__getitem__)
 
+    @cached_property
+    def _cycle_at(self) -> dict[int, tuple[int, ...]]:
+        """Each label's ``pi``-cycle, walked from its top-row minimum; the
+        cycles enter in the top-row order of those minima."""
+        out: dict[int, tuple[int, ...]] = {}
+        for x in self.s:
+            if x not in out:
+                cyc = self.cycle_of(x)
+                out.update(dict.fromkeys(cyc, cyc))
+        return out
+
     def cycles_by_position(self) -> tuple[tuple[int, ...], ...]:
         """All ``pi``-cycles, each walked from its top-row minimum, sorted
         by where those minima sit in the top row."""
-        seen: set[int] = set()
-        out = []
-        for x in self.s:
-            if x in seen:
-                continue
-            cyc = self.cycle_of(x)
-            seen.update(cyc)
-            out.append(cyc)
-        return tuple(out)
+        return tuple(c for x, c in self._cycle_at.items() if c[0] == x)
 
     def trivial_anti_exceedances(self) -> tuple[int, ...]:
         """One anti-exceedance per cycle: the preimage of the cycle's
         top-row minimum.  Listed in top-row order."""
-        pi_inv = {self.pi(x): x for x in self.s}
-        found = [pi_inv[cyc[0]] for cyc in self.cycles_by_position()]
+        found = [cyc[-1] for cyc in self.cycles_by_position()]
         pos = self._pos
         return tuple(sorted(found, key=pos.__getitem__))
 
@@ -305,7 +307,7 @@ class PlanePermutation:
         target = self.pi(eps)
         if pos[eps] < pos[target]:
             raise ValueError(f"{eps} is an exceedance, not an anti-exceedance")
-        cycle = self.cycle_of(self.s_min(self.cycle_of(eps)))
+        cycle = self._cycle_at[eps]
         if target == cycle[0]:
             raise ValueError(f"{eps} is the trivial anti-exceedance of its cycle")
         walked = cycle[1 : cycle.index(eps) + 1]
@@ -315,7 +317,7 @@ class PlanePermutation:
         )
         out = self.apply(move)
         fragments = sorted(
-            (out.cycle_of(out.s_min(out.cycle_of(x))) for x in (cycle[0], target, split_end)),
+            (out._cycle_at[x] for x in (cycle[0], target, split_end)),
             key=lambda c: out.position(c[0]),
         )
         middle = next(c for c in fragments if target in c)
@@ -336,23 +338,23 @@ class PlanePermutation:
         for x in (x1, x2, x3):
             if x not in pos:
                 raise ValueError(f"{x} is not a label of this plane permutation")
-        c1, c2, c3 = self.cycle_of(x1), self.cycle_of(x2), self.cycle_of(x3)
-        if len({frozenset(c) for c in (c1, c2, c3)}) != 3:
+        c1, c2, c3 = (self._cycle_at[x] for x in (x1, x2, x3))
+        if len({c1[0], c2[0], c3[0]}) != 3:
             raise ValueError("glue needs three distinct cycles")
         if not pos[x1] < pos[x2] < pos[x3]:
             raise ValueError("glue anchors must be increasing in the top-row order")
-        if x1 != self.s_min(c1) or x2 != self.s_min(c2):
+        if x1 != c1[0] or x2 != c2[0]:
             raise ValueError("first two glue anchors must be their cycles' minima")
-        if pos[self.s_min(c3)] < pos[x2]:
+        if pos[c3[0]] < pos[x2]:
             raise ValueError("third cycle must lie after the second anchor")
-        if x3 != self.s_min(c3) and pos[c3[-1]] < pos[x3]:
+        if x3 != c3[0] and pos[c3[c3.index(x3) - 1]] < pos[x3]:
             raise ValueError(
                 f"{x3} is neither its cycle's minimum nor the image of an anti-exceedance"
             )
         move = BlockInterchange(pos[x1] + 1, pos[x2], pos[x2] + 1, pos[x3])
         merged = self.apply(move)
-        inv = {merged.pi(x): x for x in merged.s}
-        return merged, inv[x3]
+        cycle = merged._cycle_at[x3]
+        return merged, cycle[cycle.index(x3) - 1]
 
     # -- rendering ------------------------------------------------------
 

@@ -208,9 +208,9 @@ def test_verify_failure_exits_one(monkeypatch):
     assert "forced failure" in result.stdout
 
 
-def test_verify_seed_accepted():
+def test_seed_option_is_gone():
     result = run("--seed", "7", "verify", "max-gap", "3")
-    assert result.exit_code == 0
+    assert result.exit_code == 2
 
 
 def test_verify_cap_propagates():
@@ -246,6 +246,7 @@ SIZE_GATES = [
     (("verify", "zagier-stanley"), "zagier-stanley", 8, 8),
     (("verify", "exceedance"), "exceedance", 8, 8),
     (("verify", "p1"), "p1", 8, 8),
+    (("verify", "trisection"), "trisection", 4, 4),
     (("verify", "bijection"), "bijection", 7, 7),
     (("verify", "w-identities"), "w-identities", 6, 6),
     (("verify", "max-gap"), "max-gap", 6, 6),

@@ -195,6 +195,12 @@ def test_p1_routes():
     assert len(set(tall.values())) == 1
 
 
+def test_p1_routes_refuse_above_the_tabulate_gate():
+    for route in (p1_routes, p1_closed_forms):
+        with pytest.raises(EnumerationLimitError, match=r"tabulate capped at n=8 \(asked 9\)"):
+            route(9, P([9]))
+
+
 def test_p1_closed_form_values():
     assert p1_closed_forms(4, P([2, 2])) == 2
     assert p1_closed_forms(3, P([3])) == 1
