@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -30,6 +31,13 @@ class Settings:
             click.echo(text, nl=False)
 
 
+def _out_path(ctx, param, value: str | None) -> str | None:
+    """Refuse a file in a missing directory before any suite runs."""
+    if value and not os.path.isdir(os.path.dirname(os.path.abspath(value))):
+        raise click.BadParameter(f"directory of {value!r} does not exist")
+    return value
+
+
 @click.group()
 @click.option(
     "--format",
@@ -42,7 +50,7 @@ class Settings:
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes for the big sweeps.")
 @click.option(
     "--cap",
-    type=int,
+    type=click.IntRange(min=1),
     default=distances.DEFAULT_BFS_CAP,
     show_default=True,
     help="State cap for the breadth-first search oracles.",
@@ -51,6 +59,7 @@ class Settings:
 @click.option(
     "--out",
     type=click.Path(dir_okay=False, writable=True),
+    callback=_out_path,
     help="Write the output to a file instead of stdout.",
 )
 @click.pass_context

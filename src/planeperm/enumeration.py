@@ -27,8 +27,8 @@ from .partitions import (
     splits,
     stirling_first,
 )
-from .perm import Permutation, _array_cycle_type
-from .plane import PlanePermutation, _anchored_rows, _row_tables
+from .perm import Permutation, _array_cycle_type, _cycle_map
+from .plane import PlanePermutation, _anchored_rows, _ntaes, _row_tables
 from .report import VerifyReport, merge_reports, pmap, size_gate
 
 DEFAULT_TABULATE_LIMIT = 8
@@ -628,33 +628,19 @@ def _trisection_job(args: tuple[int, tuple[tuple[int, int], ...]]) -> VerifyRepo
     for row in _anchored_rows(size):
         pos, succ = _row_tables(row)
         pi = [dimg[y] for y in succ]  # the diagonal is an involution
+        image = pi.__getitem__
+        at = _cycle_map(row, image)
+        cycles = [c for x, c in at.items() if c[0] == x]
         aex = sum(1 for x in range(size) if pos[x] >= pos[pi[x]])
-        seen = [False] * size
-        cycle_count = 0
-        trivial = []
-        for x in range(size):
-            if seen[x]:
-                continue
-            cycle_count += 1
-            best = x  # the label mapping onto the cycle's minimum
-            y = x
-            while not seen[y]:
-                seen[y] = True
-                if pos[pi[y]] < pos[pi[best]]:
-                    best = y
-                y = pi[y]
-            trivial.append(best)
+        cycle_count = len(cycles)
         genus2 = m + 1 - cycle_count
-        triv_set = set(trivial)
-        ntae = sum(
-            1 for x in range(size) if pos[x] >= pos[pi[x]] and x not in triv_set
-        )
+        ntae = len(_ntaes(row, pos, image, at))
         ok = (
             aex == m + 1
             and genus2 >= 0
             and genus2 % 2 == 0
             and ntae == genus2
-            and all(pos[t] >= pos[pi[t]] for t in trivial)
+            and all(pos[c[-1]] >= pos[pi[c[-1]]] for c in cycles)
         )
         rep.check(
             ok,

@@ -78,7 +78,7 @@ class Partition:
         if "^" in text:
             for chunk in text.split():
                 value, _, count = chunk.partition("^")
-                if not count:
+                if not count or int(count) < 1:
                     raise ValueError(f"bad partition chunk: {chunk!r}")
                 parts.extend([int(value)] * int(count))
         else:

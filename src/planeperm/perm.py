@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition
 
@@ -171,20 +171,8 @@ class Permutation:
         >>> str(Permutation.from_one_line([3, 2, 1]).cycles())
         '(1 3)(2)'
         """
-        seen: set[int] = set()
-        out: list[tuple[int, ...]] = []
-        for x in self.labels:
-            if x in seen:
-                continue
-            cyc = [x]
-            seen.add(x)
-            y = self(x)
-            while y != x:
-                cyc.append(y)
-                seen.add(y)
-                y = self(y)
-            out.append(tuple(cyc))
-        return CycleDecomposition(tuple(out))
+        walk = _cycle_map(self.labels, self)
+        return CycleDecomposition(tuple(c for x, c in walk.items() if c[0] == x))
 
     def cycle_counts(self) -> tuple[int, int, int]:
         """``(cycles, odd cycles, even cycles)`` without building the cycles."""
@@ -217,6 +205,31 @@ class Permutation:
 
     def __str__(self) -> str:
         return str(self.cycles())
+
+
+def _cycle_map(
+    order: Iterable[int], image: Callable[[int], int]
+) -> dict[int, tuple[int, ...]]:
+    """Each label's cycle under ``image``, as a tuple walked from the
+    cycle's earliest label in ``order``.  All labels of a cycle share one
+    tuple, and the cycles enter in the order of their first labels.
+
+    >>> _cycle_map((3, 1, 2), {1: 2, 2: 1, 3: 3}.__getitem__)
+    {3: (3,), 1: (1, 2), 2: (1, 2)}
+    """
+    out: dict[int, tuple[int, ...]] = {}
+    for x in order:
+        if x in out:
+            continue
+        cyc = [x]
+        y = image(x)
+        while y != x:
+            cyc.append(y)
+            y = image(y)
+        cycle = tuple(cyc)
+        for y in cycle:
+            out[y] = cycle
+    return out
 
 
 def count_cycles(images: Sequence[int]) -> int:

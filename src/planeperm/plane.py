@@ -28,10 +28,10 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .perm import Permutation, count_cycles, cycle_from_sequence
-from .report import VerifyReport, merge_reports, pmap
+from .perm import Permutation, _cycle_map, count_cycles, cycle_from_sequence
+from .report import VerifyReport, merge_reports
 
 __all__ = [
     "BlockInterchange",
@@ -228,12 +228,7 @@ class PlanePermutation:
 
     def cycle_of(self, x: int) -> tuple[int, ...]:
         """The ``pi``-cycle through ``x``, walked from ``x``."""
-        out = [x]
-        y = self.pi(x)
-        while y != x:
-            out.append(y)
-            y = self.pi(y)
-        return tuple(out)
+        return _walk_from(self._cycle_at[x], x)
 
     def s_min(self, labels) -> int:
         """The earliest of ``labels`` in the top-row order."""
@@ -244,12 +239,7 @@ class PlanePermutation:
     def _cycle_at(self) -> dict[int, tuple[int, ...]]:
         """Each label's ``pi``-cycle, walked from its top-row minimum; the
         cycles enter in the top-row order of those minima."""
-        out: dict[int, tuple[int, ...]] = {}
-        for x in self.s:
-            if x not in out:
-                cyc = self.cycle_of(x)
-                out.update(dict.fromkeys(cyc, cyc))
-        return out
+        return _cycle_map(self.s, self.pi)
 
     def cycles_by_position(self) -> tuple[tuple[int, ...], ...]:
         """All ``pi``-cycles, each walked from its top-row minimum, sorted
@@ -259,14 +249,11 @@ class PlanePermutation:
     def trivial_anti_exceedances(self) -> tuple[int, ...]:
         """One anti-exceedance per cycle: the preimage of the cycle's
         top-row minimum.  Listed in top-row order."""
-        found = [cyc[-1] for cyc in self.cycles_by_position()]
-        pos = self._pos
-        return tuple(sorted(found, key=pos.__getitem__))
+        return tuple(x for x in self.s if self._cycle_at[x][-1] == x)
 
     def ntaes(self) -> tuple[int, ...]:
         """Non-trivial anti-exceedances, in top-row order."""
-        trivial = set(self.trivial_anti_exceedances())
-        return tuple(x for x in self.anti_exceedances() if x not in trivial)
+        return _ntaes(self.s, self._pos, self.pi, self._cycle_at)
 
     # -- block interchanges ---------------------------------------------
 
@@ -284,8 +271,7 @@ class PlanePermutation:
     def classify(self, move: BlockInterchange) -> TransposeCase:
         """Which of the cycle-change cases ``move`` falls into."""
         move.validate(len(self.s))
-        tables = _cycle_tables(self.pi.labels, self.pi)
-        return _classify_points(*tables, _move_points(self.s, move))
+        return _classify_points(self._cycle_at, _move_points(self.s, move))
 
     # -- slice and glue -------------------------------------------------
 
@@ -396,54 +382,43 @@ def _patch(pts: tuple[int, ...], image: Callable[[int], int]) -> dict[int, int]:
     return {w: image(y), x: image(z), y: image(w), z: image(x)}
 
 
-def _cycle_tables(labels: Iterable[int], image: Callable[[int], int]):
-    """Per label: cycle id, index within the cycle walk, cycle length."""
-    cid: dict[int, int] = {}
-    cpos: dict[int, int] = {}
-    clen: dict[int, int] = {}
-    next_id = 0
-    for x in labels:
-        if x in cid:
-            continue
-        y, steps = x, 0
-        while y not in cid:
-            cid[y] = next_id
-            cpos[y] = steps
-            y = image(y)
-            steps += 1
-        clen[next_id] = steps
-        next_id += 1
-    return cid, cpos, clen
+def _ntaes(row, pos, image, at) -> tuple[int, ...]:
+    """Non-trivial anti-exceedances in ``row`` order: the labels moved
+    earlier or fixed whose image is not the first label of its cycle in
+    ``at``, the cycle map walked in ``row`` order."""
+    return tuple(x for x in row if pos[x] >= pos[y := image(x)] and at[y][0] != y)
 
 
-def _classify_points(cid, cpos, clen, pts) -> TransposeCase:
+def _walk_from(cycle: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """``cycle`` rotated to start at ``x``."""
+    t = cycle.index(x)
+    return cycle[t:] + cycle[:t]
+
+
+def _classify_points(at: Mapping[int, tuple[int, ...]], pts) -> TransposeCase:
+    """The case of a move from the cycles through the labels it patches;
+    ``at`` maps each label to its cycle, so equal entries mean one cycle."""
     if len(pts) == 3:
         x, y, z = pts
-        ids = {cid[x], cid[y], cid[z]}
-        if len(ids) == 3:
-            return TransposeCase.CASE_1
-        if len(ids) == 1:
-            length = clen[cid[x]]
-            rel_y = (cpos[y] - cpos[x]) % length
-            rel_z = (cpos[z] - cpos[x]) % length
-            return TransposeCase.CASE_2 if rel_z < rel_y else TransposeCase.CASE_3
-        if cid[x] == cid[y]:
+        cx, cy, cz = at[x], at[y], at[z]
+        if cx == cy == cz:
+            walk = _walk_from(cx, x)
+            if walk.index(z) < walk.index(y):
+                return TransposeCase.CASE_2
+            return TransposeCase.CASE_3
+        if cx == cy:
             return TransposeCase.CASE_4
-        if cid[y] == cid[z]:
+        if cy == cz:
             return TransposeCase.CASE_5
-        return TransposeCase.CASE_6
+        if cx == cz:
+            return TransposeCase.CASE_6
+        return TransposeCase.CASE_1
     w, x, y, z = pts
-    ids = {cid[w], cid[x], cid[y], cid[z]}
-    if len(ids) == 2 and cid[w] == cid[y] and cid[x] == cid[z]:
+    cw, cx, cy, cz = at[w], at[x], at[y], at[z]
+    if cw == cy and cx == cz and cw != cx:
         return TransposeCase.CASE_E
-    if len(ids) == 1:
-        length = clen[cid[w]]
-        order = tuple(
-            lab
-            for _, lab in sorted(
-                ((cpos[lab] - cpos[w]) % length, lab) for lab in (x, y, z)
-            )
-        )
+    if cw == cx == cy == cz:
+        order = tuple(sorted((x, y, z), key=_walk_from(cw, w).index))
         if order == (x, z, y):
             return TransposeCase.CASE_A
         if order == (y, x, z):
@@ -510,13 +485,13 @@ def _check_structure(rep: VerifyReport, n, s, pi, pos, succ, moves) -> None:
     rep.check(rotation_ok, lambda: f"{ctx()}: exceedance count not rotation invariant")
 
     image = pi.__getitem__
-    tables = _cycle_tables(range(n), image)
+    at = _cycle_map(range(n), image)
     for move in moves:
         pts = _move_points(s, move)
         patched = list(pi)
         for x, y in _patch(pts, image).items():
             patched[x] = y
-        case = _classify_points(*tables, pts)
+        case = _classify_points(at, pts)
         delta = count_cycles(patched) - c_pi
         want = case.cycle_delta
         ok = delta in (-2, 0) if want is None else delta == want
@@ -541,7 +516,6 @@ def invariant_sweep(
     random_cases: int = 0,
     random_n: int = 12,
     seed: int = 0,
-    jobs: int = 1,
 ) -> VerifyReport:
     """Check the structural invariants on every plane permutation up to
     ``n_max`` labels, plus randomized larger cases.
@@ -551,7 +525,7 @@ def invariant_sweep(
     relabeling covariant.  The randomized part draws arbitrary anchors.
     """
     blocks = [(n, row) for n in range(1, n_max + 1) for row in _anchored_rows(n)]
-    total = merge_reports("invariant-sweep", pmap(_sweep_block, blocks, jobs))
+    total = merge_reports("invariant-sweep", map(_sweep_block, blocks))
     rng = random.Random(seed)
     rand = VerifyReport("invariants random")
     for _ in range(random_cases):

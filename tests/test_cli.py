@@ -127,6 +127,11 @@ def test_enumerate_usage_errors():
     assert run("enumerate", "pk-lambda", "4", "--lam", "nope").exit_code == 2
     assert run("enumerate", "xi", "3", "--lam", "3").exit_code == 2
     assert run("enumerate", "stirling", "0").exit_code == 2
+    for lam in ("3^-1 1^3", "3^0 1^3"):
+        dropped = run("enumerate", "pk-lambda", "3", "--lam", lam)
+        assert dropped.exit_code == 2
+        assert dropped.stdout == ""
+        assert "bad partition chunk" in dropped.stderr
 
 
 def test_enumerate_size_gate():
@@ -340,6 +345,24 @@ def test_jobs_below_one_is_a_usage_error():
         assert result.exit_code == 2
         assert "Invalid value for '--jobs'" in result.stderr
         assert result.stdout == ""
+
+
+def test_cap_and_out_are_checked_before_any_work(tmp_path, monkeypatch):
+    ran = []
+    runners = {name: lambda n, s, name=name: ran.append(name) for name in cli.SUITE_RUNNERS}
+    monkeypatch.setattr(cli, "SUITE_RUNNERS", runners)
+    for cap in ("0", "-5"):
+        result = run("--cap", cap, "verify", "bid-oracle", "2")
+        assert result.exit_code == 2
+        assert "Invalid value for '--cap'" in result.stderr
+        assert result.stdout == ""
+    missing = tmp_path / "missing" / "report.txt"
+    result = run("--out", str(missing), "verify", "stirling", "2")
+    assert result.exit_code == 2
+    assert "Invalid value for '--out'" in result.stderr
+    assert result.stdout == ""
+    assert not missing.parent.exists()
+    assert ran == []
 
 
 def test_out_writes_file(tmp_path):

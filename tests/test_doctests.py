@@ -1,6 +1,7 @@
 """Run every docstring example shipped with the package."""
 
 import doctest
+from pathlib import Path
 
 import planeperm.distances
 import planeperm.enumeration
@@ -19,6 +20,7 @@ MODULES = [
     planeperm.report,
     planeperm.serialize,
 ]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_doctests():
@@ -28,3 +30,6 @@ def test_doctests():
         assert result.failed == 0, module.__name__
         total += result.attempted
     assert total >= 20
+    readme = doctest.testfile(str(README), module_relative=False)
+    assert readme.failed == 0, "README.md"
+    assert readme.attempted >= 5

@@ -57,6 +57,9 @@ def test_partition_rejects_bad_parts():
         Partition.of([2, 0])
     with pytest.raises(ValueError):
         Partition.of([-1])
+    for text in ("3^-1 1^3", "3^0 1^3", "2^1 1^-2"):
+        with pytest.raises(ValueError, match="bad partition chunk"):
+            Partition.from_string(text)
 
 
 def test_partitions_of_counts():

@@ -126,7 +126,22 @@ def test_cycle_type_partitions_n(p):
     assert total == len(t) == odd + even
 
 
-@given(permutations())
-def test_cycles_cover_labels(p):
-    seen = [x for c in p.cycles() for x in c]
-    assert sorted(seen) == sorted(p.labels)
+@given(permutations(), st.data())
+def test_cycles_cover_labels(p, data):
+    sparse = sorted(data.draw(st.sets(st.integers(1, 40), min_size=1, max_size=8)))
+    signed = sorted(data.draw(st.sets(st.integers(-20, 20), min_size=1, max_size=8)))
+    drawn = [
+        Permutation(tuple(labels), tuple(data.draw(st.permutations(labels))))
+        for labels in (sparse, signed)
+    ]
+    for q in (p, *drawn):
+        cycles = q.cycles()
+        seen = [x for c in cycles for x in c]
+        assert sorted(seen) == sorted(q.labels)
+        # canonical form: each cycle starts at its least label and follows
+        # the map, and the first labels ascend
+        for c in cycles:
+            assert c[0] == min(c)
+            assert all(q(a) == b for a, b in zip(c, c[1:] + c[:1]))
+        firsts = [c[0] for c in cycles]
+        assert firsts == sorted(firsts)

@@ -273,7 +273,15 @@ def test_exceedance_count_is_rotation_invariant(p):
 def test_rows_partition_into_exceedances_and_anti(p):
     exc, anti = p.exceedances(), p.anti_exceedances()
     assert sorted(exc + anti) == sorted(p.s)
-    assert set(p.trivial_anti_exceedances()) <= set(anti)
+    trivial = p.trivial_anti_exceedances()
+    assert set(trivial) <= set(anti)
+    assert p.ntaes() == tuple(x for x in anti if x not in trivial)
+    cycles = p.cycles_by_position()
+    for x in p.s:
+        walk = p.cycle_of(x)
+        assert walk[0] == x
+        (home,) = [c for c in cycles if x in c]
+        assert walk in [home[t:] + home[:t] for t in range(len(home))]
 
 
 @given(planes(), st.data())
