@@ -20,7 +20,6 @@ class Settings:
     fmt: str
     jobs: int
     cap: int
-    allow_large: bool
     out: str | None
 
     def emit(self, text: str) -> None:
@@ -55,7 +54,6 @@ def _out_path(ctx, param, value: str | None) -> str | None:
     show_default=True,
     help="State cap for the breadth-first search oracles.",
 )
-@click.option("--allow-large", is_flag=True, help="Lift the default size limits where supported.")
 @click.option(
     "--out",
     type=click.Path(dir_okay=False, writable=True),
@@ -63,13 +61,13 @@ def _out_path(ctx, param, value: str | None) -> str | None:
     help="Write the output to a file instead of stdout.",
 )
 @click.pass_context
-def main(ctx, fmt, jobs, cap, allow_large, out) -> None:
+def main(ctx, fmt, jobs, cap, out) -> None:
     """Distances, count tables, and verification for plane permutations.
 
     Exit codes: 0 all good, 1 a verification failed, 2 bad usage or input,
     3 a size or search cap was exceeded.
     """
-    ctx.obj = Settings(fmt, jobs, cap, allow_large, out)
+    ctx.obj = Settings(fmt, jobs, cap, out)
 
 
 def _run(thunk):
@@ -182,14 +180,14 @@ def distance(settings: Settings, kind, inputs, scenario, oracle, in_file) -> Non
 # -- enumerate ----------------------------------------------------------
 
 
-def _enumerate_values(kind: str, n: int, lam: Partition | None, allow_large: bool) -> dict[int, int]:
+def _enumerate_values(kind: str, n: int, lam: Partition | None) -> dict[int, int]:
     if kind == "xi":
         return {k: enumeration.xi(n, k) for k in range(1, n + 1) if enumeration.xi(n, k)}
     if kind == "stirling":
         return {k: stirling_first(n, k) for k in range(1, n + 1)}
     if kind == "bid-k":
         return {k: distances.bid_count(n, k) for k in range(n // 2 + 1)}
-    table = enumeration.tabulate(n, lam, allow_large=allow_large)
+    table = enumeration.tabulate(n, lam)
     return {k: table.p_k(k) for k in range(1, n + 1)}
 
 
@@ -212,7 +210,7 @@ def enumerate_cmd(settings: Settings, kind, n, lam) -> None:
             raise click.UsageError(f"--lam {lam!r} is not a partition of {n}")
     elif lam:
         raise click.UsageError("--lam only applies to pk-lambda")
-    values = _run(lambda: _enumerate_values(kind, n, lam_p, settings.allow_large))
+    values = _run(lambda: _enumerate_values(kind, n, lam_p))
     shown_lam = str(lam_p) if lam_p else None
     if settings.fmt == "json":
         text = to_json(
@@ -269,7 +267,7 @@ SUITE_RUNNERS: dict[str, Callable[[int, Settings], VerifyReport]] = {
     "p1": lambda n, s: enumeration.suite_p1(n),
     "w-identities": lambda n, s: enumeration.suite_w_identities(n),
     "bid-oracle": lambda n, s: distances.suite_bid_oracle(n, cap=s.cap),
-    "rev-oracle": lambda n, s: distances.suite_rev_oracle(n, cap=s.cap, allow_large=s.allow_large),
+    "rev-oracle": lambda n, s: distances.suite_rev_oracle(n, cap=s.cap),
     "td-oracle": lambda n, s: distances.suite_td_oracle(n, cap=s.cap),
     "max-gap": lambda n, s: distances.suite_max_gap(n),
 }
@@ -291,7 +289,5 @@ def verify(settings: Settings, suite, n) -> None:
 @click.pass_obj
 def conjecture(settings: Settings, which, n) -> None:
     """Scan signed permutations of size N for same-cycle counterexamples."""
-    report = _run(
-        lambda: distances.conjecture_scan(n, which, allow_large=settings.allow_large)
-    )
+    report = _run(lambda: distances.conjecture_scan(n, which))
     _emit_report(settings, "conjecture", {"which": which, "n": n}, report)

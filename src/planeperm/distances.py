@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .partitions import exact_div, stirling_first
+from .enumeration import xi
+from .partitions import exact_div
 from .perm import Permutation, array_cycle_counts, count_cycles, parse_sequence
 from .plane import BlockInterchange, PlanePermutation, TransposeCase, _row_tables, swap_blocks
 from .report import VerifyReport, merge_reports, size_gate
@@ -40,8 +41,10 @@ class SearchCapExceeded(RuntimeError):
 
 
 def check_sequence(seq: Iterable[int]) -> tuple[int, ...]:
-    """Validate that ``seq`` is a permutation of 1..n and return it as a tuple."""
+    """Validate that ``seq`` is a permutation of 1..n, n >= 1, and return it as a tuple."""
     row = tuple(seq)
+    if not row:
+        raise ValueError("empty sequence")
     if sorted(row) != list(range(1, len(row) + 1)):
         raise ValueError(f"not a sequence on 1..n: {row!r}")
     return row
@@ -205,12 +208,12 @@ def bid_sort(seq: Sequence[int]) -> tuple[BlockInterchange, ...]:
 def bid_count(n: int, k: int) -> int:
     """Number of sequences on 1..n at block-interchange distance exactly k.
 
+    This is the Zagier–Stanley count ``xi(n + 1, n + 1 - 2k)``.
+
     >>> [bid_count(3, k) for k in (0, 1)]
     [1, 5]
     """
-    if k < 0 or 2 * k > n:
-        return 0
-    return exact_div(2 * stirling_first(n + 2, n + 1 - 2 * k), (n + 1) * (n + 2))
+    return xi(n + 1, n + 1 - 2 * k)
 
 
 def max_cycle_gap(alpha: Permutation) -> int:
@@ -239,6 +242,8 @@ def brute_max_cycle_gap(alpha: Permutation) -> int:
 
 def check_signed(a: Iterable[int]) -> tuple[int, ...]:
     signed = tuple(a)
+    if not signed:
+        raise ValueError("empty signed permutation")
     if sorted(abs(v) for v in signed) != list(range(1, len(signed) + 1)):
         raise ValueError(f"magnitudes must form a permutation of 1..n: {signed!r}")
     return signed
@@ -247,8 +252,6 @@ def check_signed(a: Iterable[int]) -> tuple[int, ...]:
 def parse_signed(text: str) -> tuple[int, ...]:
     """Parse ``"-3 +1 +2"``; every entry must carry an explicit sign."""
     tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise ValueError("empty signed permutation")
     for token in tokens:
         if not (token[0] in "+-" and token[1:].isdigit()):
             raise ValueError(f"signed entry needs an explicit sign: {token!r}")
@@ -476,7 +479,7 @@ def all_signed(n: int) -> Iterator[tuple[int, ...]]:
             yield tuple(m * s for m, s in zip(magnitudes, signs))
 
 
-def conjecture_scan(n: int, which: str, *, allow_large: bool = False) -> VerifyReport:
+def conjecture_scan(n: int, which: str) -> VerifyReport:
     """Scan signed permutations for the same-cycle property of the vertical.
 
     ``which`` selects the population: ``"same-cycle-exact"`` restricts to
@@ -486,7 +489,7 @@ def conjecture_scan(n: int, which: str, *, allow_large: bool = False) -> VerifyR
     lie in one vertical cycle.  Counterexamples are collected, never raised;
     none are known.
     """
-    size_gate("conjecture scan", n, 7 if allow_large else 6, SearchCapExceeded)
+    size_gate("conjecture scan", n, 7, SearchCapExceeded)
     if which not in ("same-cycle-exact", "same-cycle-all"):
         raise ValueError(f"unknown conjecture scan {which!r}")
     exact_only = which == "same-cycle-exact"
@@ -709,6 +712,7 @@ def check_td_bound_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
 
 
 def suite_td_oracle(n: int, *, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
+    size_gate("td-oracle", n, 9, SearchCapExceeded)
     parts = [check_td_bound_at(m, cap) for m in range(1, n + 1)]
     merged = merge_reports(f"td-oracle-n{n}", parts)
     merged.info["tight"] = sum(part.info["tight"] for part in parts)
@@ -738,10 +742,8 @@ def check_rev_bounds_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
     return report
 
 
-def suite_rev_oracle(
-    n: int, *, cap: int = DEFAULT_BFS_CAP, allow_large: bool = False
-) -> VerifyReport:
-    size_gate("rev-oracle", n, 7 if allow_large else 6, SearchCapExceeded)
+def suite_rev_oracle(n: int, *, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
+    size_gate("rev-oracle", n, 7, SearchCapExceeded)
     parts = [check_rev_bounds_at(m, cap) for m in range(1, n + 1)]
     merged = merge_reports(f"rev-oracle-n{n}", parts)
     for key in ("states", "tight"):

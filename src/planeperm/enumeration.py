@@ -31,8 +31,8 @@ from .perm import Permutation, _array_cycle_type, _cycle_map
 from .plane import PlanePermutation, _anchored_rows, _ntaes, _row_tables
 from .report import VerifyReport, merge_reports, pmap, size_gate
 
-DEFAULT_TABULATE_LIMIT = 8
-HARD_TABULATE_LIMIT = 10
+# The six table suites tabulate every cycle type at every size up to N.
+TABLE_SUITE_GATE = 8
 
 
 class EnumerationLimitError(RuntimeError):
@@ -98,12 +98,12 @@ class CountTable:
             yield a, parts, c
 
 
-def tabulate(n: int, lam: Partition, *, allow_large: bool = False) -> CountTable:
+def tabulate(n: int, lam: Partition) -> CountTable:
     """Count bottom permutations by cycle type and exceedances over ``U_D``.
 
     ``lam`` is the cycle type of the diagonal; the answer only depends on the
-    type, so a canonical representative is used.  Sizes up to 8 run in well
-    under a second; 9 and 10 need ``allow_large=True``; beyond 10 is refused.
+    type, so a canonical representative is used.  One table at size 10 takes
+    a few seconds; beyond 10 is refused.
 
     >>> t = tabulate(3, Partition.of([3]))
     >>> t.total()
@@ -111,12 +111,7 @@ def tabulate(n: int, lam: Partition, *, allow_large: bool = False) -> CountTable
     >>> [t.p_k(k) for k in (1, 2, 3)]
     [1, 0, 1]
     """
-    size_gate(
-        "tabulate",
-        n,
-        HARD_TABULATE_LIMIT if allow_large else DEFAULT_TABULATE_LIMIT,
-        EnumerationLimitError,
-    )
+    size_gate("tabulate", n, 10, EnumerationLimitError)
     if lam.n != n:
         raise ValueError(f"{lam} is not a partition of {n}")
     return _tabulate_cached(n, lam.parts)
@@ -687,7 +682,7 @@ def suite_trisection(m_max: int, *, jobs: int = 1) -> VerifyReport:
 
 
 def suite_ntae_identity(n: int) -> VerifyReport:
-    size_gate("ntae-identity", n, DEFAULT_TABULATE_LIMIT, EnumerationLimitError)
+    size_gate("ntae-identity", n, TABLE_SUITE_GATE, EnumerationLimitError)
     parts = [
         verify_ntae_identity(m, lam, k)
         for m in range(1, n + 1)
@@ -699,7 +694,7 @@ def suite_ntae_identity(n: int) -> VerifyReport:
 
 def suite_f_recurrence(n: int) -> VerifyReport:
     """All valid type pairs, plus the parity filter on the invalid counts."""
-    size_gate("f-recurrence", n, DEFAULT_TABULATE_LIMIT, EnumerationLimitError)
+    size_gate("f-recurrence", n, TABLE_SUITE_GATE, EnumerationLimitError)
     parts = []
     parity = VerifyReport("parity filter")
     for m in range(1, n + 1):
@@ -720,7 +715,7 @@ def suite_f_recurrence(n: int) -> VerifyReport:
 
 
 def suite_cycle_recurrence(n: int) -> VerifyReport:
-    size_gate("cycle-recurrence", n, DEFAULT_TABULATE_LIMIT, EnumerationLimitError)
+    size_gate("cycle-recurrence", n, TABLE_SUITE_GATE, EnumerationLimitError)
     parts = [
         verify_cycle_recurrence(m, lam, k)
         for m in range(1, n + 1)
@@ -732,7 +727,7 @@ def suite_cycle_recurrence(n: int) -> VerifyReport:
 
 def suite_zagier_stanley(n: int) -> VerifyReport:
     """Closed form, recurrence, and the full-cycle-diagonal cross-check."""
-    size_gate("zagier-stanley", n, DEFAULT_TABULATE_LIMIT, EnumerationLimitError)
+    size_gate("zagier-stanley", n, TABLE_SUITE_GATE, EnumerationLimitError)
     parts = [zagier_stanley_check(m) for m in range(1, n + 1)]
     cross = VerifyReport("xi vs tabulated full-cycle diagonal")
     for m in range(1, n + 1):
@@ -750,7 +745,7 @@ def suite_zagier_stanley(n: int) -> VerifyReport:
 
 def suite_exceedance(n: int) -> VerifyReport:
     """Exceedance totals and the transfer between ordinary and plane counts."""
-    size_gate("exceedance", n, DEFAULT_TABULATE_LIMIT, EnumerationLimitError)
+    size_gate("exceedance", n, TABLE_SUITE_GATE, EnumerationLimitError)
     rep = VerifyReport(f"exceedance n<={n}")
     for m in range(1, n + 1):
         by_ak, by_akl = _ordinary_tables(m)
@@ -798,7 +793,7 @@ def suite_exceedance(n: int) -> VerifyReport:
 
 
 def suite_p1(n: int) -> VerifyReport:
-    size_gate("p1", n, DEFAULT_TABULATE_LIMIT, EnumerationLimitError)
+    size_gate("p1", n, TABLE_SUITE_GATE, EnumerationLimitError)
     rep = VerifyReport(f"p1 n<={n}")
     for m in range(1, n + 1):
         for lam in partitions_of(m):

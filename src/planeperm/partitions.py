@@ -75,14 +75,18 @@ class Partition:
         if not text:
             return cls(())
         parts: list[int] = []
-        if "^" in text:
-            for chunk in text.split():
-                value, _, count = chunk.partition("^")
-                if not count or int(count) < 1:
-                    raise ValueError(f"bad partition chunk: {chunk!r}")
-                parts.extend([int(value)] * int(count))
-        else:
-            parts = [int(tok) for tok in text.split("+")]
+        try:
+            if "^" in text:
+                for chunk in text.split():
+                    value, _, count = chunk.partition("^")
+                    if int(count) < 1:
+                        raise ValueError
+                    parts.extend([int(value)] * int(count))
+            else:
+                parts = [int(tok) for tok in text.split("+")]
+        except ValueError:
+            where = f"partition chunk: {chunk!r}" if "^" in text else f"partition: {text!r}"
+            raise ValueError(f"bad {where}") from None
         return cls.of(parts)
 
     @property

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +12,9 @@ from click.testing import CliRunner
 import planeperm.cli as cli
 from planeperm.cli import main
 from planeperm.report import VerifyReport
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*args, **kwargs):
@@ -64,6 +69,9 @@ def test_distance_usage_errors():
     assert run("distance", "rev-lb", "1 2").exit_code == 2
     assert run("distance", "td-lb", "2 1", "--scenario").exit_code == 2
     assert run("distance", "walks", "2 1").exit_code == 2
+    empty = run("distance", "bid", "")
+    assert empty.exit_code == 2
+    assert empty.stdout == ""
 
 
 def test_distance_reads_input_file(tmp_path):
@@ -132,17 +140,26 @@ def test_enumerate_usage_errors():
         assert dropped.exit_code == 2
         assert dropped.stdout == ""
         assert "bad partition chunk" in dropped.stderr
+    for lam, message in (
+        ("3^1.5", "bad partition chunk: '3^1.5'"),
+        ("x^1 2^1", "bad partition chunk: 'x^1'"),
+        ("1^2+1^1", "bad partition chunk: '1^2+1^1'"),
+        ("2+x", "bad partition: '2+x'"),
+        ("2++1", "bad partition: '2++1'"),
+    ):
+        malformed = run("enumerate", "pk-lambda", "3", "--lam", lam)
+        assert malformed.exit_code == 2
+        assert malformed.stdout == ""
+        assert message in malformed.stderr
 
 
 def test_enumerate_size_gate():
-    gated = run("enumerate", "pk-lambda", "9", "--lam", "9")
-    assert gated.exit_code == 3
-    assert gated.stderr == "error: tabulate capped at n=8 (asked 9)\n"
-    lifted = run("--allow-large", "enumerate", "pk-lambda", "9", "--lam", "9")
-    assert lifted.exit_code == 0
-    beyond = run("--allow-large", "enumerate", "pk-lambda", "11", "--lam", "11")
+    assert run("enumerate", "pk-lambda", "9", "--lam", "9").exit_code == 0
+    beyond = run("enumerate", "pk-lambda", "11", "--lam", "11")
     assert beyond.exit_code == 3
+    assert beyond.stdout == ""
     assert beyond.stderr == "error: tabulate capped at n=10 (asked 11)\n"
+    assert run("--allow-large", "verify", "stirling", "2").exit_code == 2
 
 
 def test_enumerate_big_integers_become_json_strings():
@@ -240,39 +257,54 @@ def test_verify_rev_oracle_cap_is_an_error():
     result = run("verify", "rev-oracle", "9")
     assert result.exit_code == 3
     assert result.stdout == ""
-    assert result.stderr == "error: rev-oracle capped at n=6 (asked 9)\n"
+    assert result.stderr == "error: rev-oracle capped at n=7 (asked 9)\n"
 
 
-# (command, name in the message, gate, gate under --allow-large)
+# (command, name in the message, gate)
 SIZE_GATES = [
-    (("verify", "ntae-identity"), "ntae-identity", 8, 8),
-    (("verify", "f-recurrence"), "f-recurrence", 8, 8),
-    (("verify", "cycle-recurrence"), "cycle-recurrence", 8, 8),
-    (("verify", "zagier-stanley"), "zagier-stanley", 8, 8),
-    (("verify", "exceedance"), "exceedance", 8, 8),
-    (("verify", "p1"), "p1", 8, 8),
-    (("verify", "trisection"), "trisection", 4, 4),
-    (("verify", "bijection"), "bijection", 7, 7),
-    (("verify", "w-identities"), "w-identities", 6, 6),
-    (("verify", "max-gap"), "max-gap", 6, 6),
-    (("verify", "bid-oracle"), "bid-oracle", 7, 7),
-    (("verify", "rev-oracle"), "rev-oracle", 6, 7),
-    (("conjecture", "same-cycle-exact"), "conjecture scan", 6, 7),
-    (("conjecture", "same-cycle-all"), "conjecture scan", 6, 7),
+    (("verify", "ntae-identity"), "ntae-identity", 8),
+    (("verify", "f-recurrence"), "f-recurrence", 8),
+    (("verify", "cycle-recurrence"), "cycle-recurrence", 8),
+    (("verify", "zagier-stanley"), "zagier-stanley", 8),
+    (("verify", "exceedance"), "exceedance", 8),
+    (("verify", "p1"), "p1", 8),
+    (("verify", "trisection"), "trisection", 4),
+    (("verify", "bijection"), "bijection", 7),
+    (("verify", "w-identities"), "w-identities", 6),
+    (("verify", "max-gap"), "max-gap", 6),
+    (("verify", "bid-oracle"), "bid-oracle", 7),
+    (("verify", "rev-oracle"), "rev-oracle", 7),
+    (("verify", "td-oracle"), "td-oracle", 9),
+    (("conjecture", "same-cycle-exact"), "conjecture scan", 7),
+    (("conjecture", "same-cycle-all"), "conjecture scan", 7),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, what, gate, large", SIZE_GATES, ids=[c[-1] for c, *_ in SIZE_GATES]
+    "command, what, gate", SIZE_GATES, ids=[c[-1] for c, *_ in SIZE_GATES]
 )
-def test_size_gates_refuse_before_any_work(command, what, gate, large):
-    for flags, limit in (((), gate), (("--allow-large",), large)):
-        started = time.perf_counter()
-        result = run(*flags, *command, str(limit + 1))
-        assert time.perf_counter() - started < 1.0
-        assert result.exit_code == 3
-        assert result.stdout == ""
-        assert result.stderr == f"error: {what} capped at n={limit} (asked {limit + 1})\n"
+def test_size_gates_refuse_before_any_work(command, what, gate):
+    started = time.perf_counter()
+    result = run(*command, str(gate + 1))
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == f"error: {what} capped at n={gate} (asked {gate + 1})\n"
+
+
+def test_readme_gate_table_matches_the_gates():
+    section = README.read_text(encoding="utf-8").split("### verify\n", 1)[1].split("\n### ", 1)[0]
+    table = {}
+    for names, gate in re.findall(r"^\| (`.*) \| (\w+) \|$", section, re.M):
+        for name in re.findall(r"`([^`]+)`", names):
+            assert name not in table, name
+            table[name] = None if gate == "none" else int(gate)
+    expected = {
+        command[-1] if command[0] == "verify" else command[0]: gate
+        for command, _, gate in SIZE_GATES
+    }
+    expected.update({"enumerate pk-lambda": 10, "stirling": None})
+    assert table == expected
 
 
 def test_verify_n_below_one_is_a_usage_error():
@@ -323,7 +355,7 @@ def test_conjecture_n_below_one_is_a_usage_error():
 def test_conjecture_cap():
     result = run("conjecture", "same-cycle-all", "8")
     assert result.exit_code == 3
-    assert result.stderr == "error: conjecture scan capped at n=6 (asked 8)\n"
+    assert result.stderr == "error: conjecture scan capped at n=7 (asked 8)\n"
 
 
 # -- global options -------------------------------------------------------

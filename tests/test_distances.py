@@ -66,6 +66,8 @@ def test_parse_unsigned():
         parse_unsigned("1 2 2")
     with pytest.raises(ValueError):
         parse_unsigned("0 1")
+    with pytest.raises(ValueError, match="empty sequence"):
+        parse_unsigned("")
 
 
 def test_augmented_row_and_plane():
@@ -333,6 +335,11 @@ def test_array_bounds_keep_their_errors():
         td_lower_bound((2, 1), [Permutation.identity(range(5))])
     with pytest.raises(ValueError, match="magnitudes"):
         breakpoint_bound((1, -1))
+    with pytest.raises(ValueError, match="empty sequence"):
+        bid(())
+    for bound in (rev_lower_bound, breakpoint_bound):
+        with pytest.raises(ValueError, match="empty signed permutation"):
+            bound(())
 
 
 # -- conjecture scans -----------------------------------------------------
@@ -363,10 +370,9 @@ def test_conjecture_scan_small():
 
 
 def test_conjecture_scan_caps():
-    with pytest.raises(SearchCapExceeded):
-        conjecture_scan(7, "same-cycle-exact")
-    with pytest.raises(SearchCapExceeded):
-        conjecture_scan(8, "same-cycle-all", allow_large=True)
+    for which in ("same-cycle-exact", "same-cycle-all"):
+        with pytest.raises(SearchCapExceeded, match=r"capped at n=7 \(asked 8\)"):
+            conjecture_scan(8, which)
     with pytest.raises(ValueError):
         conjecture_scan(2, "same-cycle-sometimes")
 
@@ -452,10 +458,8 @@ def test_merged_oracle_info_covers_every_part():
 
 
 def test_rev_oracle_refuses_sizes_beyond_its_cap():
-    with pytest.raises(SearchCapExceeded, match=r"capped at n=6 \(asked 7\)"):
-        suite_rev_oracle(7)
     with pytest.raises(SearchCapExceeded, match=r"capped at n=7 \(asked 8\)"):
-        suite_rev_oracle(8, allow_large=True)
+        suite_rev_oracle(8)
 
 
 # -- randomized properties ------------------------------------------------

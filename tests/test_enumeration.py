@@ -106,10 +106,8 @@ def test_tabulate_is_representative_independent():
 def test_tabulate_rejects_bad_input():
     with pytest.raises(ValueError):
         tabulate(4, P([3]))
-    with pytest.raises(EnumerationLimitError):
-        tabulate(9, P([9]))
-    with pytest.raises(EnumerationLimitError):
-        tabulate(11, P([11]), allow_large=True)
+    with pytest.raises(EnumerationLimitError, match=r"capped at n=10 \(asked 11\)"):
+        tabulate(11, P([11]))
 
 
 def test_xi_values():
@@ -197,8 +195,8 @@ def test_p1_routes():
 
 def test_p1_routes_refuse_above_the_tabulate_gate():
     for route in (p1_routes, p1_closed_forms):
-        with pytest.raises(EnumerationLimitError, match=r"tabulate capped at n=8 \(asked 9\)"):
-            route(9, P([9]))
+        with pytest.raises(EnumerationLimitError, match=r"tabulate capped at n=10 \(asked 11\)"):
+            route(11, P([11]))
 
 
 def test_p1_closed_form_values():

@@ -60,6 +60,16 @@ def test_partition_rejects_bad_parts():
     for text in ("3^-1 1^3", "3^0 1^3", "2^1 1^-2"):
         with pytest.raises(ValueError, match="bad partition chunk"):
             Partition.from_string(text)
+    for text, message in (
+        ("3^1.5", "bad partition chunk: '3^1.5'"),
+        ("x^1 2^1", "bad partition chunk: 'x^1'"),
+        ("1^2+1^1", "bad partition chunk: '1^2+1^1'"),
+        ("2+x", "bad partition: '2+x'"),
+        ("2++1", "bad partition: '2++1'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            Partition.from_string(text)
+        assert str(err.value) == message
 
 
 def test_partitions_of_counts():
