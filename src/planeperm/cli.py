@@ -11,7 +11,7 @@ import click
 
 from . import distances, enumeration
 from .partitions import Partition, stirling_first
-from .report import VerifyReport
+from .report import VerifyReport, size_gate
 from .serialize import schema_id, to_csv, to_json
 
 
@@ -19,7 +19,6 @@ from .serialize import schema_id, to_csv, to_json
 class Settings:
     fmt: str
     jobs: int
-    cap: int
     out: str | None
 
     def emit(self, text: str) -> None:
@@ -48,26 +47,19 @@ def _out_path(ctx, param, value: str | None) -> str | None:
 )
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes for the big sweeps.")
 @click.option(
-    "--cap",
-    type=click.IntRange(min=1),
-    default=distances.DEFAULT_BFS_CAP,
-    show_default=True,
-    help="State cap for the breadth-first search oracles.",
-)
-@click.option(
     "--out",
     type=click.Path(dir_okay=False, writable=True),
     callback=_out_path,
     help="Write the output to a file instead of stdout.",
 )
 @click.pass_context
-def main(ctx, fmt, jobs, cap, out) -> None:
+def main(ctx, fmt, jobs, out) -> None:
     """Distances, count tables, and verification for plane permutations.
 
     Exit codes: 0 all good, 1 a verification failed, 2 bad usage or input,
     3 a size or search cap was exceeded.
     """
-    ctx.obj = Settings(fmt, jobs, cap, out)
+    ctx.obj = Settings(fmt, jobs, out)
 
 
 def _run(thunk):
@@ -128,13 +120,20 @@ def _distance_record(kind: str, text: str, scenario: bool, oracle: bool, cap: in
 @click.option("--scenario", is_flag=True, help="Show the sorting steps (bid and rev-lb only).")
 @click.option("--oracle", is_flag=True, help="Compare against a breadth-first search.")
 @click.option(
+    "--cap",
+    type=click.IntRange(min=1),
+    default=distances.DEFAULT_BFS_CAP,
+    show_default=True,
+    help="State cap for the --oracle search.",
+)
+@click.option(
     "--in",
     "in_file",
     type=click.Path(exists=True, dir_okay=False),
     help="Also read permutations from a file, one per line.",
 )
 @click.pass_obj
-def distance(settings: Settings, kind, inputs, scenario, oracle, in_file) -> None:
+def distance(settings: Settings, kind, inputs, scenario, oracle, cap, in_file) -> None:
     """Distance or lower bound for each INPUT permutation.
 
     Signed kinds (rev-lb, rev-bp) want entries like '-3 +1 +2'; put a
@@ -149,7 +148,7 @@ def distance(settings: Settings, kind, inputs, scenario, oracle, in_file) -> Non
     if scenario and kind not in ("bid", "rev-lb"):
         raise click.UsageError("--scenario applies to 'bid' and 'rev-lb' only")
     records = [
-        _run(lambda t=t: _distance_record(kind, t, scenario, oracle, settings.cap))
+        _run(lambda t=t: _distance_record(kind, t, scenario, oracle, cap))
         for t in texts
     ]
     if settings.fmt == "json":
@@ -181,14 +180,15 @@ def distance(settings: Settings, kind, inputs, scenario, oracle, in_file) -> Non
 
 
 def _enumerate_values(kind: str, n: int, lam: Partition | None) -> dict[int, int]:
+    if kind == "pk-lambda":
+        table = enumeration.tabulate(n, lam)
+        return {k: table.p_k(k) for k in range(1, n + 1)}
+    size_gate(f"enumerate {kind}", n, 1000, enumeration.EnumerationLimitError)
     if kind == "xi":
-        return {k: enumeration.xi(n, k) for k in range(1, n + 1) if enumeration.xi(n, k)}
+        return {k: v for k in range(1, n + 1) if (v := enumeration.xi(n, k))}
     if kind == "stirling":
         return {k: stirling_first(n, k) for k in range(1, n + 1)}
-    if kind == "bid-k":
-        return {k: distances.bid_count(n, k) for k in range(n // 2 + 1)}
-    table = enumeration.tabulate(n, lam)
-    return {k: table.p_k(k) for k in range(1, n + 1)}
+    return {k: distances.bid_count(n, k) for k in range(n // 2 + 1)}
 
 
 @main.command(name="enumerate")
@@ -266,9 +266,9 @@ SUITE_RUNNERS: dict[str, Callable[[int, Settings], VerifyReport]] = {
     "exceedance": lambda n, s: enumeration.suite_exceedance(n),
     "p1": lambda n, s: enumeration.suite_p1(n),
     "w-identities": lambda n, s: enumeration.suite_w_identities(n),
-    "bid-oracle": lambda n, s: distances.suite_bid_oracle(n, cap=s.cap),
-    "rev-oracle": lambda n, s: distances.suite_rev_oracle(n, cap=s.cap),
-    "td-oracle": lambda n, s: distances.suite_td_oracle(n, cap=s.cap),
+    "bid-oracle": lambda n, s: distances.suite_bid_oracle(n),
+    "rev-oracle": lambda n, s: distances.suite_rev_oracle(n),
+    "td-oracle": lambda n, s: distances.suite_td_oracle(n),
     "max-gap": lambda n, s: distances.suite_max_gap(n),
 }
 

@@ -33,7 +33,7 @@ SORTED_CASES = frozenset(
 
 
 class SearchCapExceeded(RuntimeError):
-    """A breadth-first search or exhaustive scan outgrew its state cap."""
+    """A breadth-first search outgrew its state cap, or a suite its size gate."""
 
 
 # ---------------------------------------------------------------------------
@@ -398,36 +398,26 @@ def breakpoint_bound(a: Sequence[int]) -> int:
     return exact_div(2 * n + 2 - count_cycles(product), 2)
 
 
-def _require_skew_symmetric(p: PlanePermutation) -> int:
-    size = len(p.s)
-    if size % 2 != 1:
-        raise ValueError("skew-symmetric row must have odd length 2n+1")
-    n = size // 2
-    if p.s[0] != 0 or any(p.s[k] != -p.s[size - k] for k in range(1, size)):
-        raise ValueError(f"row is not skew-symmetric: {p.s!r}")
-    if p.diagonal != reversal_diagonal(n).inverse():
-        raise ValueError("plane permutation does not carry the reversal diagonal")
-    return n
+def find_2_reversal(a: Sequence[int]) -> Reversal | None:
+    """A reversal raising the vertical cycle count of ``signed_plane(a)`` by
+    two, if the standard construction yields one.
 
-
-def find_2_reversal(p: PlanePermutation) -> Reversal | None:
-    """A reversal raising the vertical cycle count of ``p`` by two, if the
-    standard construction yields one.
-
-    Looks at the most negative entry m of the first half.  If m > −n, the
-    entry m−1 sits in the second half and pins down a reversal directly; if
-    m = −n, the reversal over the half-row works exactly when n and the middle
-    entry share a vertical cycle.  Returns None otherwise (in particular for
+    Takes the signed permutation ``a`` and builds its plane.  Looks at the
+    most negative entry m of ``a``.  If m > −n, the entry m−1 sits in the
+    second half of the row and pins down a reversal directly; if m = −n, the
+    reversal over the half-row works exactly when n and the last entry of
+    ``a`` share a vertical cycle.  Returns None otherwise (in particular for
     all-positive rows, which admit no two-step reversal).
     """
-    n = _require_skew_symmetric(p)
-    negatives = [v for v in p.s[1 : n + 1] if v < 0]
-    if not negatives:
+    a = check_signed(a)
+    n = len(a)
+    most_negative = min(a)
+    if most_negative > 0:
         return None
-    most_negative = min(negatives)
+    p = signed_plane(a)
     i = p.position(most_negative)
     if most_negative == -n:
-        if not p.pi.same_cycle(n, p.s[n]):
+        if not p.pi.same_cycle(n, a[-1]):
             return None
         move = Reversal(i, n)
     else:
@@ -464,7 +454,7 @@ def greedy_reversal_sort(a: Sequence[int]) -> GreedySortResult:
     current = a
     steps: list[Reversal] = []
     while current != goal:
-        move = find_2_reversal(signed_plane(current))
+        move = find_2_reversal(current)
         if move is None:
             break
         current = apply_reversal(current, move)
@@ -627,10 +617,10 @@ def sorted_sequence(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
-def check_bid_bfs_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
+def check_bid_bfs_at(n: int) -> VerifyReport:
     """bid agrees with the BFS block-interchange distance on all of S_n."""
     report = VerifyReport(f"bid-bfs-n{n}")
-    oracle = bfs_distances(sorted_sequence(n), "block_interchanges", cap)
+    oracle = bfs_distances(sorted_sequence(n), "block_interchanges")
     for seq in itertools.permutations(range(1, n + 1)):
         value, expected = bid(seq), oracle[seq]
         report.check(
@@ -658,10 +648,10 @@ def check_bid_replay_at(n: int) -> VerifyReport:
     return report
 
 
-def check_bid_histogram_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
+def check_bid_histogram_at(n: int) -> VerifyReport:
     """The BFS distance histogram over S_n matches the closed-form counts."""
     report = VerifyReport(f"bid-histogram-n{n}")
-    oracle = bfs_distances(sorted_sequence(n), "block_interchanges", cap)
+    oracle = bfs_distances(sorted_sequence(n), "block_interchanges")
     histogram: dict[int, int] = {}
     for value in oracle.values():
         histogram[value] = histogram.get(value, 0) + 1
@@ -679,13 +669,13 @@ def check_bid_histogram_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
     return report
 
 
-def suite_bid_oracle(n: int, *, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
+def suite_bid_oracle(n: int) -> VerifyReport:
     """BFS equality, scenario replay, and the distance histogram, for sizes up to n."""
     size_gate("bid-oracle", n, 7, SearchCapExceeded)
     parts = []
     for m in range(1, n + 1):
-        parts.append(check_bid_bfs_at(m, cap))
-        parts.append(check_bid_histogram_at(m, cap))
+        parts.append(check_bid_bfs_at(m))
+        parts.append(check_bid_histogram_at(m))
         parts.append(check_bid_replay_at(m))
     merged = merge_reports(f"bid-oracle-n{n}", parts)
     merged.info["states"] = sum(part.info.get("states", 0) for part in parts)
@@ -695,10 +685,10 @@ def suite_bid_oracle(n: int, *, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
     return merged
 
 
-def check_td_bound_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
+def check_td_bound_at(n: int) -> VerifyReport:
     """td_lower_bound with default γ never exceeds the BFS transposition distance."""
     report = VerifyReport(f"td-bound-n{n}")
-    oracle = bfs_distances(sorted_sequence(n), "transpositions", cap)
+    oracle = bfs_distances(sorted_sequence(n), "transpositions")
     tight = 0
     for seq in itertools.permutations(range(1, n + 1)):
         bound, actual = td_lower_bound(seq), oracle[seq]
@@ -711,18 +701,18 @@ def check_td_bound_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
     return report
 
 
-def suite_td_oracle(n: int, *, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
+def suite_td_oracle(n: int) -> VerifyReport:
     size_gate("td-oracle", n, 9, SearchCapExceeded)
-    parts = [check_td_bound_at(m, cap) for m in range(1, n + 1)]
+    parts = [check_td_bound_at(m) for m in range(1, n + 1)]
     merged = merge_reports(f"td-oracle-n{n}", parts)
     merged.info["tight"] = sum(part.info["tight"] for part in parts)
     return merged
 
 
-def check_rev_bounds_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
+def check_rev_bounds_at(n: int) -> VerifyReport:
     """rev_lower_bound never exceeds the BFS reversal distance; rates reported."""
     report = VerifyReport(f"rev-bounds-n{n}")
-    oracle = bfs_distances(sorted_sequence(n), "reversals", cap)
+    oracle = bfs_distances(sorted_sequence(n), "reversals")
     tight = 0
     disagreements = 0
     for a in all_signed(n):
@@ -742,9 +732,9 @@ def check_rev_bounds_at(n: int, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
     return report
 
 
-def suite_rev_oracle(n: int, *, cap: int = DEFAULT_BFS_CAP) -> VerifyReport:
+def suite_rev_oracle(n: int) -> VerifyReport:
     size_gate("rev-oracle", n, 7, SearchCapExceeded)
-    parts = [check_rev_bounds_at(m, cap) for m in range(1, n + 1)]
+    parts = [check_rev_bounds_at(m) for m in range(1, n + 1)]
     merged = merge_reports(f"rev-oracle-n{n}", parts)
     for key in ("states", "tight"):
         merged.info[key] = sum(part.info[key] for part in parts)

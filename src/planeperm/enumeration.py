@@ -11,6 +11,7 @@ bijection that explains them.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -226,6 +227,7 @@ def verify_stirling_recurrence(n_max: int) -> VerifyReport:
     """The same shape of recurrence, satisfied by the unsigned Stirling
     numbers of the first kind themselves; checked for every ``n <= n_max``
     and every ``1 <= k <= n + 1``."""
+    size_gate("stirling", n_max, 240, EnumerationLimitError)
     rep = VerifyReport(f"stirling-recurrence n<={n_max}")
     for n in range(1, n_max + 1):
         for k in range(1, n + 2):
@@ -438,7 +440,6 @@ def p1_closed_forms(n: int, lam: Partition) -> int:
     return values.pop()
 
 
-@lru_cache(maxsize=None)
 def W_count(lam: Partition, mu: Partition, eta: Partition) -> int:
     """With ``gamma`` a fixed permutation of type ``lam``, count the
     permutations ``alpha`` of type ``mu`` for which ``alpha^-1 gamma`` has
@@ -447,24 +448,25 @@ def W_count(lam: Partition, mu: Partition, eta: Partition) -> int:
     >>> W_count(Partition.of([3]), Partition.of([3]), Partition.of([1, 1, 1]))
     1
     """
-    n = lam.n
-    if mu.n != n or eta.n != n:
+    if mu.n != lam.n or eta.n != lam.n:
         raise ValueError("all three types must partition the same number")
+    return _w_table(lam)[mu.parts, eta.parts]
+
+
+@lru_cache(maxsize=None)
+def _w_table(lam: Partition) -> Counter:
+    # One walk over S_n per gamma type: alpha counted by (type of alpha,
+    # type of alpha^-1 gamma).
+    n = lam.n
     gamma = Permutation.from_cycle_type(lam, labels=range(n))
     gimg = tuple(gamma(x) for x in range(n))
-    count = 0
+    table: Counter = Counter()
     ainv = [0] * n
-    beta = [0] * n
     for images in itertools.permutations(range(n)):
-        if _array_cycle_type(images) != mu.parts:
-            continue
         for x, y in enumerate(images):
             ainv[y] = x
-        for x in range(n):
-            beta[x] = ainv[gimg[x]]
-        if _array_cycle_type(beta) == eta.parts:
-            count += 1
-    return count
+        table[_array_cycle_type(images), _array_cycle_type([ainv[g] for g in gimg])] += 1
+    return table
 
 
 # -- the slice/glue bijection ------------------------------------------

@@ -6,6 +6,7 @@ import re
 import time
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -43,6 +44,13 @@ def test_distance_bid_oracle():
     result = run("distance", "bid", "4 3 2 1", "--oracle")
     assert result.exit_code == 0
     assert "oracle" in result.stdout and "match" in result.stdout
+
+
+def test_distance_cap_propagates():
+    result = run("distance", "--cap", "5", "td-lb", "5 4 3 2 1", "--oracle")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: BFS under transpositions exceeded cap of 5 states\n"
 
 
 def test_distance_rev_lb_needs_sentinel():
@@ -233,12 +241,8 @@ def test_verify_failure_exits_one(monkeypatch):
 def test_seed_option_is_gone():
     result = run("--seed", "7", "verify", "max-gap", "3")
     assert result.exit_code == 2
-
-
-def test_verify_cap_propagates():
     result = run("--cap", "5", "verify", "bid-oracle", "4")
-    assert result.exit_code == 3
-    assert result.stderr.startswith("error:")
+    assert result.exit_code == 2
 
 
 def test_verify_rev_oracle_totals_cover_every_size():
@@ -275,13 +279,19 @@ SIZE_GATES = [
     (("verify", "bid-oracle"), "bid-oracle", 7),
     (("verify", "rev-oracle"), "rev-oracle", 7),
     (("verify", "td-oracle"), "td-oracle", 9),
+    (("verify", "stirling"), "stirling", 240),
+    (("enumerate", "xi"), "enumerate xi", 1000),
+    (("enumerate", "stirling"), "enumerate stirling", 1000),
+    (("enumerate", "bid-k"), "enumerate bid-k", 1000),
     (("conjecture", "same-cycle-exact"), "conjecture scan", 7),
     (("conjecture", "same-cycle-all"), "conjecture scan", 7),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, what, gate", SIZE_GATES, ids=[c[-1] for c, *_ in SIZE_GATES]
+    "command, what, gate",
+    SIZE_GATES,
+    ids=[" ".join(c) if c[0] == "enumerate" else c[-1] for c, *_ in SIZE_GATES],
 )
 def test_size_gates_refuse_before_any_work(command, what, gate):
     started = time.perf_counter()
@@ -295,16 +305,29 @@ def test_size_gates_refuse_before_any_work(command, what, gate):
 def test_readme_gate_table_matches_the_gates():
     section = README.read_text(encoding="utf-8").split("### verify\n", 1)[1].split("\n### ", 1)[0]
     table = {}
-    for names, gate in re.findall(r"^\| (`.*) \| (\w+) \|$", section, re.M):
+    for names, gate in re.findall(r"^\| (`.*) \| (\d+) \|$", section, re.M):
         for name in re.findall(r"`([^`]+)`", names):
             assert name not in table, name
-            table[name] = None if gate == "none" else int(gate)
-    expected = {
-        command[-1] if command[0] == "verify" else command[0]: gate
-        for command, _, gate in SIZE_GATES
-    }
-    expected.update({"enumerate pk-lambda": 10, "stirling": None})
+            table[name] = int(gate)
+    readme_name = {"verify": lambda c: c[-1], "conjecture": lambda c: c[0], "enumerate": " ".join}
+    expected = {readme_name[command[0]](command): gate for command, _, gate in SIZE_GATES}
+    expected["enumerate pk-lambda"] = 10
     assert table == expected
+
+
+def _readme_options(heading: str, first_paragraph_only: bool) -> set[str]:
+    section = README.read_text(encoding="utf-8").split(f"{heading}\n", 1)[1].split("\n#", 1)[0]
+    if first_paragraph_only:
+        section = section.strip().split("\n\n", 1)[0]
+    return set(re.findall(r"`(--[a-z][a-z-]*)", section))
+
+
+def test_readme_options_match_the_cli():
+    def options(command):
+        return {name for p in command.params if isinstance(p, click.Option) for name in p.opts}
+
+    assert _readme_options("## Command line", True) == options(main)
+    assert _readme_options("### distance", False) == options(cli.distance)
 
 
 def test_verify_n_below_one_is_a_usage_error():
@@ -383,8 +406,9 @@ def test_cap_and_out_are_checked_before_any_work(tmp_path, monkeypatch):
     ran = []
     runners = {name: lambda n, s, name=name: ran.append(name) for name in cli.SUITE_RUNNERS}
     monkeypatch.setattr(cli, "SUITE_RUNNERS", runners)
+    monkeypatch.setattr(cli.distances, "bfs_distance", lambda *args: ran.append(args))
     for cap in ("0", "-5"):
-        result = run("--cap", cap, "verify", "bid-oracle", "2")
+        result = run("distance", "--cap", cap, "bid", "2 1", "--oracle")
         assert result.exit_code == 2
         assert "Invalid value for '--cap'" in result.stderr
         assert result.stdout == ""

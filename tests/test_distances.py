@@ -208,7 +208,7 @@ def test_signed_plane_fixture_rows():
 def test_find_2_reversal_worked_cases():
     for a, expected in REV_CASES:
         plane = signed_plane(a)
-        move = find_2_reversal(plane)
+        move = find_2_reversal(a)
         assert move == expected, a
         before = len(plane.cycles_by_position())
         after = len(signed_plane(apply_reversal(a, move)).cycles_by_position())
@@ -216,12 +216,13 @@ def test_find_2_reversal_worked_cases():
 
 
 def test_find_2_reversal_needs_a_negative():
-    assert find_2_reversal(signed_plane((2, 1, 3))) is None
+    assert find_2_reversal((2, 1, 3)) is None
 
 
-def test_find_2_reversal_rejects_foreign_planes():
-    with pytest.raises(ValueError):
-        find_2_reversal(sequence_plane((2, 1)))
+def test_find_2_reversal_rejects_bad_input():
+    for bad in ((), (1, 3), (2, 2)):
+        with pytest.raises(ValueError):
+            find_2_reversal(bad)
 
 
 def test_greedy_reversal_sort():
@@ -507,8 +508,7 @@ def test_signed_plane_is_skew_symmetric(a):
 @given(signed_rows(max_n=5))
 @settings(max_examples=50)
 def test_found_reversal_always_gains_two_cycles(a):
-    p = signed_plane(a)
-    move = find_2_reversal(p)
+    move = find_2_reversal(a)
     if move is None:
         return
     better = apply_reversal(a, move)
