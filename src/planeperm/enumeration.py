@@ -52,10 +52,9 @@ def enumerate_U_D(diag: Permutation) -> Iterator[PlanePermutation]:
     """
     labels = diag.labels
     size_gate("enumerate_U_D", len(labels), 10, EnumerationLimitError)
-    head, rest = labels[0], labels[1:]
     return (
-        PlanePermutation.from_diagonal((head, *order), diag)
-        for order in itertools.permutations(rest)
+        PlanePermutation.from_diagonal(tuple(labels[i] for i in row), diag)
+        for row in _anchored_rows(len(labels))
     )
 
 
@@ -572,22 +571,17 @@ def verify_bijection(diag: Permutation) -> VerifyReport:
     return rep
 
 
-def _bijection_job(args: tuple[int, tuple[int, ...]]) -> VerifyReport:
-    m, images = args
-    return verify_bijection(Permutation(tuple(range(1, m + 1)), images))
-
-
 def suite_bijection(n: int, *, jobs: int = 1) -> VerifyReport:
     """Slice/glue bijection over every diagonal of every size up to ``n``."""
     size_gate("bijection", n, 7, EnumerationLimitError)
-    tasks = [
-        (m, images)
+    diagonals = [
+        Permutation(tuple(range(1, m + 1)), images)
         for m in range(1, n + 1)
         for images in itertools.permutations(range(1, m + 1))
     ]
-    parts = pmap(_bijection_job, tasks, jobs)
+    parts = pmap(verify_bijection, diagonals, jobs)
     rep = merge_reports(f"bijection n<={n}", parts)
-    rep.info["diagonals"] = len(tasks)
+    rep.info["diagonals"] = len(diagonals)
     for key in ("y1", "y2", "y3"):
         rep.info[key] = sum(part.info.get(key, 0) for part in parts)
     return rep
@@ -608,20 +602,28 @@ def _pairings(items: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
             yield ((first, partner), *tail)
 
 
-def _trisection_job(args: tuple[int, tuple[tuple[int, int], ...]]) -> VerifyReport:
-    """Fixed-point-free involution checks over one matching's planes.
+def verify_trisection(diag: Permutation) -> VerifyReport:
+    """Genus bookkeeping for one fixed-point-free involution diagonal.
 
-    With ``2m`` symbols matched up by the diagonal, every plane must show
-    ``m + 1`` anti-exceedances, a cycle count of the form ``m + 1 - 2g``
-    with ``g >= 0``, and exactly ``2g`` non-trivial anti-exceedances.
+    With ``2m`` labels matched by the diagonal and ``2g = m + 1 - cycles``,
+    every plane must have (1) ``m + 1`` anti-exceedances, (2) ``2g >= 0``,
+    (3) ``2g`` even, (4) exactly ``2g`` non-trivial anti-exceedances and
+    (5) an anti-exceedance at the last label of each cycle, walked from its
+    first label in top-row order.
     """
-    m, pairs = args
-    size = 2 * m
+    labels = diag.labels
+    size = len(labels)
+    if size % 2:
+        raise ValueError("need an even number of labels")
+    slot = {x: i for i, x in enumerate(labels)}
     dimg = [0] * size
-    for x, y in pairs:
-        dimg[x] = y
-        dimg[y] = x
-    rep = VerifyReport(f"trisection m={m} pairs={pairs}")
+    for x in labels:
+        y = diag(x)
+        if y == x or diag(y) != x:
+            raise ValueError("diagonal must be a fixed-point-free involution")
+        dimg[slot[x]] = slot[y]
+    m = size // 2
+    rep = VerifyReport(f"trisection diag={diag.cycles()}")
     for row in _anchored_rows(size):
         pos, succ = _row_tables(row)
         pi = [dimg[y] for y in succ]  # the diagonal is an involution
@@ -648,35 +650,17 @@ def _trisection_job(args: tuple[int, tuple[tuple[int, int], ...]]) -> VerifyRepo
     return rep
 
 
-def verify_trisection(diag: Permutation) -> VerifyReport:
-    """Genus bookkeeping for one fixed-point-free involution diagonal."""
-    labels = diag.labels
-    if len(labels) % 2:
-        raise ValueError("need an even number of labels")
-    slot = {x: i for i, x in enumerate(labels)}
-    pairs = []
-    for x in labels:
-        y = diag(x)
-        if y == x or diag(y) != x:
-            raise ValueError("diagonal must be a fixed-point-free involution")
-        if slot[x] < slot[y]:
-            pairs.append((slot[x], slot[y]))
-    rep = _trisection_job((len(labels) // 2, tuple(pairs)))
-    rep.name = f"trisection diag={diag.cycles()}"
-    return rep
-
-
 def suite_trisection(m_max: int, *, jobs: int = 1) -> VerifyReport:
     """Genus checks over every matching diagonal on ``2, 4, .., 2*m_max``."""
     size_gate("trisection", m_max, 4, EnumerationLimitError)
-    tasks = [
-        (m, pairs)
+    matchings = [
+        Permutation.from_cycles(pairs)
         for m in range(1, m_max + 1)
         for pairs in _pairings(list(range(2 * m)))
     ]
-    parts = pmap(_trisection_job, tasks, jobs)
+    parts = pmap(verify_trisection, matchings, jobs)
     rep = merge_reports(f"trisection m<={m_max}", parts)
-    rep.info["pairings"] = len(tasks)
+    rep.info["pairings"] = len(matchings)
     return rep
 
 

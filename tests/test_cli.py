@@ -392,6 +392,14 @@ def test_jobs_do_not_change_bytes():
     serial = run("verify", "bijection", "3")
     parallel = run("--jobs", "3", "verify", "bijection", "3")
     assert serial.stdout == parallel.stdout
+    serial = run("--format", "json", "verify", "trisection", "3")
+    parallel = run("--jobs", "2", "--format", "json", "verify", "trisection", "3")
+    assert serial.exit_code == parallel.exit_code == 0
+    assert serial.stdout == parallel.stdout
+    serial = run("verify", "bijection", "4")
+    parallel = run("--jobs", "2", "verify", "bijection", "4")
+    assert serial.exit_code == parallel.exit_code == 0
+    assert serial.stdout == parallel.stdout
 
 
 def test_jobs_below_one_is_a_usage_error():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from planeperm import enumeration
 from planeperm.enumeration import (
     CountTable,
     EnumerationLimitError,
@@ -298,6 +299,33 @@ def test_suite_trisection_small():
     rep = suite_trisection(2)
     assert rep.passed
     assert rep.info["pairings"] == 4
+
+
+def test_suite_trisection_names_the_failing_diagonal(monkeypatch):
+    real = enumeration._ntaes
+    monkeypatch.setattr(enumeration, "_ntaes", lambda *args: (*real(*args), 0))
+    rep = suite_trisection(1)
+    assert not rep.passed
+    assert rep.failures[0].startswith("trisection diag=(0 1): ")
+
+
+EMPTY = Permutation((), ())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tabulate(0, Partition(())),
+        lambda: enumerate_U_D(EMPTY),
+        lambda: verify_bijection(EMPTY),
+        lambda: verify_trisection(EMPTY),
+        lambda: xi_brute_all(0),
+    ],
+    ids=["tabulate", "enumerate_U_D", "verify_bijection", "verify_trisection", "xi_brute_all"],
+)
+def test_empty_diagonal_is_refused(call):
+    with pytest.raises(ValueError, match="a top row needs at least one label"):
+        call()
 
 
 def test_identity_suites_pass_small():
