@@ -23,14 +23,13 @@ from .enumeration import (
     W_count,
     enumerate_U_D,
     exceedance_totals,
-    p1_closed_forms,
     tabulate,
     verify_bijection,
     verify_trisection,
     xi,
 )
 from .partitions import Partition, binomial, partitions_of, q_lambda, stirling_first
-from .perm import Permutation, cycle_from_sequence, parse_cycles, parse_sequence
+from .perm import Permutation, cycle_from_sequence, parse_sequence
 from .plane import BlockInterchange, PlanePermutation, SliceResult, TransposeCase
 from .report import VerifyReport
 
@@ -62,8 +61,6 @@ __all__ = [
     "find_2_reversal",
     "greedy_reversal_sort",
     "max_cycle_gap",
-    "p1_closed_forms",
-    "parse_cycles",
     "parse_sequence",
     "partitions_of",
     "q_lambda",

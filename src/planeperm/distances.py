@@ -21,8 +21,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .enumeration import xi
 from .partitions import exact_div
-from .perm import Permutation, array_cycle_counts, count_cycles, parse_sequence
-from .plane import BlockInterchange, PlanePermutation, TransposeCase, _row_tables, swap_blocks
+from .perm import Permutation, _cycle_map, array_cycle_counts, count_cycles, parse_sequence
+from .plane import (
+    BlockInterchange,
+    TransposeCase,
+    _classify_points,
+    _move_points,
+    _row_tables,
+    swap_blocks,
+)
 from .report import VerifyReport, merge_reports, size_gate
 
 DEFAULT_BFS_CAP = 10**7
@@ -59,27 +66,11 @@ def augmented_row(seq: Sequence[int]) -> tuple[int, ...]:
     return (0,) + tuple(seq)
 
 
-def transposition_diagonal(n: int) -> Permutation:
-    """The descending rotation on 0..n: every label maps to its predecessor, 0 to n."""
-    return Permutation.from_mapping({v: v - 1 if v else n for v in range(n + 1)})
-
-
-def sequence_plane(seq: Sequence[int]) -> PlanePermutation:
-    """Wrap an unsigned sequence into its sorting plane permutation.
-
-    The top row is the anchored sequence on 0..n and the diagonal is the
-    inverse descending rotation, so the vertical permutation is the rotation
-    composed with the row cycle.  The sequence is sorted exactly when the
-    vertical is the identity.
-    """
-    seq = check_sequence(seq)
-    diag = transposition_diagonal(len(seq)).inverse()
-    return PlanePermutation.from_diagonal(augmented_row(seq), diag)
-
-
 def _vertical_images(row: Sequence[int]) -> list[int]:
-    # Image table of the vertical permutation of ``sequence_plane``; index by
-    # label on 0..n.  Kept array-shaped for the hot loops below.
+    # Image table, indexed by label on 0..n, of the vertical permutation of
+    # the sorting plane: top row ``row`` (the anchored sequence) over the
+    # diagonal x -> x + 1 mod n + 1.  The vertical sends x to its successor in
+    # the row minus one, 0 to n, so it is the identity exactly on sorted rows.
     _, succ = _row_tables(row)
     return [y - 1 if y else len(row) - 1 for y in succ]
 
@@ -99,15 +90,6 @@ def apply_block_interchange(
     return swap_blocks(row, move)[1:]
 
 
-def apply_transposition(seq: Sequence[int], i: int, j: int, k: int) -> tuple[int, ...]:
-    """Swap the adjacent blocks at 1-based positions [i..j] and [j+1..k].
-
-    >>> apply_transposition((4, 1, 2, 3), 1, 1, 4)
-    (1, 2, 3, 4)
-    """
-    return apply_block_interchange(seq, (i, j, j + 1, k))
-
-
 def _gamma_images(gamma: Permutation, n: int) -> tuple[int, ...]:
     # γ acts on 0..n, so its image tuple is already a 0-based array.
     if gamma.labels != tuple(range(n + 1)):
@@ -121,26 +103,17 @@ def _gaps(vertical: Sequence[int], gamma: Sequence[int]) -> tuple[int, int, int]
     return tuple(abs(c - d) for c, d in zip(with_gamma, alone))
 
 
-def cycle_gaps(seq: Sequence[int], gamma: Permutation) -> tuple[int, int, int]:
-    """Absolute change of (total, odd, even) cycle counts when composing with γ.
-
-    Measures the vertical permutation of the sorting plane against the free
-    parameter γ, which must act on the anchored label set 0..n.
-    """
-    seq = check_sequence(seq)
-    gamma_images = _gamma_images(gamma, len(seq))
-    return _gaps(_vertical_images(augmented_row(seq)), gamma_images)
-
-
 def td_lower_bound(seq: Sequence[int], gammas: Iterable[Permutation] | None = None) -> int:
     """Lower bound for the transposition distance of ``seq``.
 
-    Each γ yields the bound ceil(gap/2) where gap is the largest of the three
-    cycle-count changes reported by :func:`cycle_gaps`; the result is the best
-    bound over the supplied γ.  The defaults are the inverse of the vertical
-    and the identity.  Both give the gaps (n+1−C, n+1−C_odd, C_even) of the
-    vertical's cycle counts, so the default bound is ceil((n+1−C_odd)/2), the
-    odd-cycle bound of the cycle graph, and is read off C_odd directly.
+    Each γ, which must act on the anchored label set 0..n, yields the bound
+    ceil(gap/2), where gap is the largest absolute change of the (total, odd,
+    even) cycle counts when the vertical of the sorting plane is composed
+    with γ; the result is the best bound over the supplied γ.  The defaults
+    are the inverse of the vertical and the identity.  Both give the gaps
+    (n+1−C, n+1−C_odd, C_even) of the vertical's cycle counts, so the default
+    bound is ceil((n+1−C_odd)/2), the odd-cycle bound of the cycle graph, and
+    is read off C_odd directly.
     """
     seq = check_sequence(seq)
     n = len(seq)
@@ -299,6 +272,11 @@ class Reversal:
         return f"reversal({self.i},{self.j})"
 
 
+def _reverse(a: tuple[int, ...], move: Reversal) -> tuple[int, ...]:
+    i, j = move.i, move.j
+    return a[: i - 1] + tuple(-v for v in reversed(a[i - 1 : j])) + a[j:]
+
+
 def apply_reversal(a: Sequence[int], move: Reversal) -> tuple[int, ...]:
     """
     >>> apply_reversal((3, -2, 1), Reversal(1, 3))
@@ -307,35 +285,34 @@ def apply_reversal(a: Sequence[int], move: Reversal) -> tuple[int, ...]:
     a = check_signed(a)
     if move.j > len(a):
         raise ValueError(f"{move} out of range for {a!r}")
-    i, j = move.i, move.j
-    return a[: i - 1] + tuple(-v for v in reversed(a[i - 1 : j])) + a[j:]
-
-
-def reversal_diagonal(n: int) -> Permutation:
-    """The rotation on 0..n and −1..−n threading both signs into one cycle."""
-    images = {0: -1, -n: n}
-    for v in range(1, n + 1):
-        images[v] = v - 1
-    for v in range(-1, -n, -1):
-        images[v] = v - 1
-    return Permutation.from_mapping(images)
-
-
-def signed_plane(a: Sequence[int]) -> PlanePermutation:
-    """Wrap a signed permutation into the plane permutation of its double cover."""
-    n = len(check_signed(a))
-    return PlanePermutation.from_diagonal(skew_seq(a), reversal_diagonal(n).inverse())
+    return _reverse(a, move)
 
 
 def _signed_vertical(a: Sequence[int]) -> tuple[list[int], list[int]]:
-    # Image table of the vertical of ``signed_plane`` with labels packed as
-    # v -> v (positive side) and v -> n - v (negative side), plus the packed row.
+    # Image table of the vertical of the double cover's plane (top row
+    # ``skew_seq(a)``, diagonal 0 -> 1 -> .. -> n -> -n -> .. -> -1 -> 0) with
+    # labels packed as v -> v and -v -> n + v, plus the packed row; unvalidated.
     n = len(a)
-    packed = [v if v >= 0 else n - v for v in skew_seq(a)]
+    packed = [v if v >= 0 else n - v for v in (0, *a, *(-v for v in reversed(a)))]
     _, succ = _row_tables(packed)
     # packed inverse diagonal: 0 -> -1, v -> v - 1, -v -> -(v + 1), -n -> n
     rot = [n + 1, *range(n), *range(n + 2, 2 * n + 1), n]
     return [rot[y] for y in succ], packed
+
+
+def _meets_middle(images: Sequence[int], packed: Sequence[int]) -> bool:
+    # Whether n and the middle entry of the double cover share a vertical cycle.
+    n = len(packed) // 2
+    middle, y = packed[n], images[n]
+    while y != n and y != middle:
+        y = images[y]
+    return y == middle
+
+
+def _case(row: Sequence[int], images: Sequence[int], move: BlockInterchange) -> TransposeCase:
+    # The case of ``move`` on the plane of top row ``row`` and vertical ``images``.
+    move.validate(len(row))
+    return _classify_points(_cycle_map(row, images.__getitem__), _move_points(row, move))
 
 
 def rev_lower_bound(a: Sequence[int]) -> int:
@@ -349,35 +326,9 @@ def rev_lower_bound(a: Sequence[int]) -> int:
     return exact_div(2 * len(a) + 1 - count_cycles(images), 2)
 
 
-@dataclass(frozen=True)
-class BreakpointGraph:
-    """Doubled-label breakpoint graph of a signed permutation.
-
-    ``b`` lists the 2n+2 endpoint labels; ``theta1`` and ``theta2`` are the
-    matchings given by adjacent endpoint pairs and by consecutive values.
-    """
-
-    b: tuple[int, ...]
-    theta1: Permutation
-    theta2: Permutation
-
-    @property
-    def cycle_count(self) -> int:
-        return exact_div((self.theta1 * self.theta2).cycle_counts()[0], 2)
-
-
 def _endpoints(a: Sequence[int]) -> list[int]:
     # The 2n+2 endpoint labels: 0, then −v, v for each entry, then −(n+1).
     return [0, *itertools.chain.from_iterable((-v, v) for v in a), -(len(a) + 1)]
-
-
-def breakpoint_graph(a: Sequence[int]) -> BreakpointGraph:
-    a = check_signed(a)
-    n = len(a)
-    b = _endpoints(a)
-    theta1 = Permutation.from_cycles([(b[2 * t], b[2 * t + 1]) for t in range(n + 1)])
-    theta2 = Permutation.from_cycles([(t, -(t + 1)) for t in range(n + 1)])
-    return BreakpointGraph(tuple(b), theta1, theta2)
 
 
 def breakpoint_bound(a: Sequence[int]) -> int:
@@ -399,33 +350,36 @@ def breakpoint_bound(a: Sequence[int]) -> int:
 
 
 def find_2_reversal(a: Sequence[int]) -> Reversal | None:
-    """A reversal raising the vertical cycle count of ``signed_plane(a)`` by
-    two, if the standard construction yields one.
+    """A reversal raising the vertical cycle count of the plane of
+    ``skew_seq(a)`` by two, if the standard construction yields one.
 
-    Takes the signed permutation ``a`` and builds its plane.  Looks at the
-    most negative entry m of ``a``.  If m > −n, the entry m−1 sits in the
-    second half of the row and pins down a reversal directly; if m = −n, the
-    reversal over the half-row works exactly when n and the last entry of
-    ``a`` share a vertical cycle.  Returns None otherwise (in particular for
-    all-positive rows, which admit no two-step reversal).
+    Looks at the most negative entry m of ``a``.  If m > −n, the entry m−1
+    sits in the second half of the row and pins down a reversal directly; if
+    m = −n, the reversal over the half-row works exactly when n and the last
+    entry of ``a`` share a vertical cycle.  Returns None otherwise (in
+    particular for all-positive rows, which admit no two-step reversal).
     """
-    a = check_signed(a)
+    return _find_2_reversal(check_signed(a))
+
+
+def _find_2_reversal(a: tuple[int, ...]) -> Reversal | None:
     n = len(a)
     most_negative = min(a)
     if most_negative > 0:
         return None
-    p = signed_plane(a)
-    i = p.position(most_negative)
+    images, packed = _signed_vertical(a)
+    pos, _ = _row_tables(packed)
+    i = pos[n - most_negative]
     if most_negative == -n:
-        if not p.pi.same_cycle(n, a[-1]):
+        if not _meets_middle(images, packed):
             return None
         move = Reversal(i, n)
     else:
-        j = 2 * n - p.position(most_negative - 1)
+        j = 2 * n - pos[n + 1 - most_negative]
         move = Reversal(i, j) if i - 1 < j else Reversal(j + 1, i - 1)
-    case = p.classify(move.as_block_interchange(n))
+    case = _case(packed, images, move.as_block_interchange(n))
     if case.cycle_delta != 2:
-        raise AssertionError(f"constructed reversal {move} is {case} on {p.s!r}")
+        raise AssertionError(f"constructed reversal {move} is {case} on {skew_seq(a)!r}")
     return move
 
 
@@ -447,17 +401,18 @@ def greedy_reversal_sort(a: Sequence[int]) -> GreedySortResult:
 
     When this reaches the identity, the scenario has length exactly
     ``rev_lower_bound(a)`` and the bound is tight.  No fallback search is
-    attempted when the construction yields nothing.
+    attempted when the construction yields nothing.  Only the input is
+    validated: each later row is a reversal of a valid one.
     """
     a = check_signed(a)
     goal = tuple(range(1, len(a) + 1))
     current = a
     steps: list[Reversal] = []
     while current != goal:
-        move = find_2_reversal(current)
+        move = _find_2_reversal(current)
         if move is None:
             break
-        current = apply_reversal(current, move)
+        current = _reverse(current, move)
         steps.append(move)
     return GreedySortResult(a, tuple(steps), current)
 
@@ -489,16 +444,15 @@ def conjecture_scan(n: int, which: str) -> VerifyReport:
         scanned += 1
         if exact_only and not is_exact(a):
             continue
-        images, packed = _signed_vertical(a)  # the label n sits in packed slot n
+        images, packed = _signed_vertical(a)
         if exact_only and not any(
             images[packed[i - 1]] == packed[2 * n + 1 - i] for i in range(1, n + 1)
         ):
             continue
-        middle = packed[n]
-        y = images[n]
-        while y != n and y != middle:
-            y = images[y]
-        report.check(y == middle, lambda a=a: f"n and middle entry split at {format_signed(a)}")
+        report.check(
+            _meets_middle(images, packed),
+            lambda a=a: f"n and middle entry split at {format_signed(a)}",
+        )
     report.info["instances"] = report.checked
     report.info["scanned"] = scanned
     return report
@@ -640,8 +594,8 @@ def check_bid_replay_at(n: int) -> VerifyReport:
         ok = len(steps) == bid(seq)
         current = seq
         for move in steps:
-            case = sequence_plane(current).classify(move)
-            ok = ok and case in SORTED_CASES
+            row = augmented_row(current)
+            ok = ok and _case(row, _vertical_images(row), move) in SORTED_CASES
             current = apply_block_interchange(current, move)
         ok = ok and current == goal
         report.check(ok, lambda s=seq: f"scenario for {s!r} broke down")

@@ -229,9 +229,10 @@ def verify_stirling_recurrence(n_max: int) -> VerifyReport:
     size_gate("stirling", n_max, 240, EnumerationLimitError)
     rep = VerifyReport(f"stirling-recurrence n<={n_max}")
     for n in range(1, n_max + 1):
+        upper = [stirling_first(n + 1, k) for k in range(n + 2)]
         for k in range(1, n + 2):
-            lhs = (n + 1 - k) * stirling_first(n + 1, k)
-            rhs = _higher_cycles(partial(stirling_first, n + 1), n + 1, k)
+            lhs = (n + 1 - k) * upper[k]
+            rhs = _higher_cycles(upper.__getitem__, n + 1, k)
             rhs += binomial(n + 1, 2) * stirling_first(n, k)
             rep.check(
                 lhs == rhs,
@@ -423,20 +424,6 @@ def p1_routes(n: int, lam: Partition) -> dict[str, int]:
         routes["product"] = product
     routes["enumerated"] = tabulate(n, lam).p_k(1)
     return routes
-
-
-def p1_closed_forms(n: int, lam: Partition) -> int:
-    """Plane permutations with diagonal type ``lam`` and a single bottom
-    cycle.  Every applicable route must agree, or this raises AssertionError.
-
-    >>> p1_closed_forms(4, Partition.of([2, 2]))
-    2
-    """
-    routes = p1_routes(n, lam)
-    values = set(routes.values())
-    if len(values) != 1:
-        raise AssertionError(f"single-cycle routes disagree at n={n} {lam}: {routes}")
-    return values.pop()
 
 
 def W_count(lam: Partition, mu: Partition, eta: Partition) -> int:

@@ -100,9 +100,6 @@ class Partition:
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
-    def multiplicity(self, value: int) -> int:
-        return self.parts.count(value)
-
     def multiplicities(self) -> dict[int, int]:
         """Map each distinct part to how many times it occurs, ascending."""
         out: dict[int, int] = {}
@@ -112,14 +109,6 @@ class Partition:
 
     def __str__(self) -> str:
         return "+".join(str(p) for p in self.parts)
-
-    def exponent_form(self) -> str:
-        """The ``"1^2 2^1"`` rendering, distinct parts ascending.
-
-        >>> Partition.of([2, 1, 1]).exponent_form()
-        '1^2 2^1'
-        """
-        return " ".join(f"{v}^{a}" for v, a in self.multiplicities().items())
 
 
 def _partition_tuples(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -226,7 +215,8 @@ def kappa(mu: Partition, eta: Partition) -> int:
     return total
 
 
-_STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
+# Two consecutive rows of the triangle, the only ones kept; higher rows grow from them.
+_STIRLING_PAIR: list[tuple[int, ...]] = [(), (1,)]
 
 
 def stirling_first(n: int, k: int) -> int:
@@ -238,12 +228,13 @@ def stirling_first(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         return 0
-    while len(_STIRLING_ROWS) <= n:
-        m = len(_STIRLING_ROWS)
-        prev = _STIRLING_ROWS[m - 1]
-        row = [0] * (m + 1)
-        for j in range(1, m + 1):
-            row[j] = prev[j - 1] + (m - 1) * (prev[j] if j < m else 0)
-        _STIRLING_ROWS.append(tuple(row))
-    row = _STIRLING_ROWS[n]
+    row = _STIRLING_PAIR[1]
+    if len(row) != n + 1:
+        below, row = _STIRLING_PAIR if len(row) <= n + 2 else ((), (1,))
+        while len(row) <= n:
+            m = len(row)
+            below, row = row, (0, *(row[j - 1] + (m - 1) * row[j] for j in range(1, m)), 1)
+        _STIRLING_PAIR[:] = below, row
+        if len(row) > n + 1:
+            row = below
     return row[k] if k < len(row) else 0

@@ -15,7 +15,6 @@ string form of a permutation unambiguous.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -28,7 +27,6 @@ __all__ = [
     "array_cycle_counts",
     "count_cycles",
     "cycle_from_sequence",
-    "parse_cycles",
     "parse_sequence",
 ]
 
@@ -176,20 +174,8 @@ class Permutation:
 
     def cycle_counts(self) -> tuple[int, int, int]:
         """``(cycles, odd cycles, even cycles)`` without building the cycles."""
-        seen: set[int] = set()
-        total = odd = 0
-        for x in self.labels:
-            if x in seen:
-                continue
-            length = 0
-            y = x
-            while y not in seen:
-                seen.add(y)
-                y = self(y)
-                length += 1
-            total += 1
-            odd += length % 2
-        return total, odd, total - odd
+        slot = self._slot
+        return array_cycle_counts([slot[y] for y in self.images])
 
     def cycle_type(self) -> Partition:
         return Partition.of(len(c) for c in self.cycles())
@@ -287,24 +273,3 @@ def parse_sequence(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split())
     except ValueError as exc:
         raise ValueError(f"bad sequence {text!r}: {exc}") from None
-
-
-_CYCLES_SHAPE = re.compile(r"(?:\s*\([^()]*\))+\s*")
-
-
-def parse_cycles(text: str, labels: Iterable[int] | None = None) -> Permutation:
-    """Parse cycle notation such as ``"(0 2)(1 3)"``.
-
-    Commas may be used instead of spaces.  Labels listed in ``labels``
-    but absent from the text become fixed points.
-    """
-    if not _CYCLES_SHAPE.fullmatch(text):
-        raise ValueError(f"bad cycle notation: {text!r}")
-    body = text.replace(",", " ")
-    cycles = [
-        tuple(int(tok) for tok in chunk.split())
-        for chunk in re.findall(r"\(([^()]*)\)", body)
-    ]
-    if any(not c for c in cycles):
-        raise ValueError(f"empty cycle in {text!r}")
-    return Permutation.from_cycles(cycles, labels)

@@ -207,10 +207,6 @@ class PlanePermutation:
         r %= len(self.s)
         return PlanePermutation(self.s[r:] + self.s[:r], self.pi)
 
-    def rotations(self) -> Iterator["PlanePermutation"]:
-        for r in range(len(self.s)):
-            yield self.rotate(r)
-
     # -- exceedances ----------------------------------------------------
 
     def exceedances(self) -> tuple[int, ...]:
@@ -222,13 +218,6 @@ class PlanePermutation:
         """Labels moved earlier or fixed; complement of the exceedances."""
         pos = self._pos
         return tuple(x for x in self.s if pos[x] >= pos[self.pi(x)])
-
-    def exceedance_count(self) -> int:
-        return len(self.exceedances())
-
-    def cycle_of(self, x: int) -> tuple[int, ...]:
-        """The ``pi``-cycle through ``x``, walked from ``x``."""
-        return _walk_from(self._cycle_at[x], x)
 
     def s_min(self, labels) -> int:
         """The earliest of ``labels`` in the top-row order."""

@@ -1,10 +1,12 @@
-"""Dead-code guard over the library: unused imports and unused private names."""
+"""Dead-code guard over the library: unused imports, unused private names,
+and public names that nothing but the tests reads."""
 
 import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "planeperm"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "planeperm"
 
 
 def _modules() -> dict[str, str]:
@@ -81,12 +83,88 @@ def unused_private_names(modules: dict[str, str]) -> list[str]:
     return found
 
 
+def _public_definitions(tree: ast.Module):
+    """(name, first line, last line) of each public module-level function or
+    class and each public method, with whether it is a click command."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            command = any(
+                "command" in ast.unparse(d) or "group" in ast.unparse(d)
+                for d in node.decorator_list
+            )
+            yield node.name, node.lineno, node.end_lineno, command
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item.lineno, item.end_lineno, False
+
+
+def _reads(tree: ast.Module):
+    """(name, line) of each ``Name`` or ``Attribute`` load."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def unread_public_names(modules: dict[str, str], kept: set[str]) -> list[str]:
+    """``<file>: unread public name <name>`` for each public function, class
+    or method that the library never reads outside its own definition, unless
+    it is a click command or its name is in ``kept``."""
+    reads = {name: list(_reads(ast.parse(text))) for name, text in modules.items()}
+    found = []
+    for name, text in modules.items():
+        for bound, first, last, command in _public_definitions(ast.parse(text)):
+            if command or bound in kept:
+                continue
+            if not any(
+                read == bound and (key != name or not first <= line <= last)
+                for key, loads in reads.items()
+                for read, line in loads
+            ):
+                found.append(f"{name}: unread public name {bound}")
+    return found
+
+
+def kept_names() -> set[str]:
+    """Public names with readers outside the library: the package exports,
+    every identifier in a README code block, and what the benchmark calls.
+    The benchmark's files are read, never written: every part of a tracer
+    target (``module:Class.method``) and every ``module.name`` it loads off
+    a library module."""
+    init = ast.parse((SRC / "__init__.py").read_text())
+    kept = {
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M):
+        kept |= set(re.findall(r"[A-Za-z_]\w*", block))
+    library = {path.stem for path in SRC.glob("*.py")}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if path.name == "tracing.py" and ":" in node.value:
+                    kept |= set(node.value.split(":", 1)[1].split("."))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in library:
+                    kept.add(node.attr)
+    return kept
+
+
 def test_no_unused_imports():
     assert unused_imports(_modules()) == []
 
 
 def test_no_unused_private_names():
     assert unused_private_names(_modules()) == []
+
+
+def test_every_public_name_is_read():
+    assert unread_public_names(_modules(), kept_names()) == []
 
 
 def test_guard_reports_what_it_finds():
@@ -104,3 +182,27 @@ def test_guard_reports_what_it_finds():
     }
     assert unused_imports(modules) == ["a.py: unused import dropped"]
     assert unused_private_names(modules) == ["a.py: unused private name _dead"]
+    public = {
+        "a.py": (
+            "import click\n"
+            "def used():\n"
+            "    return 1\n"
+            "def lonely():\n"
+            "    return lonely()\n"
+            "def exported():\n"
+            "    pass\n"
+            "@click.command()\n"
+            "def cmd():\n"
+            "    pass\n"
+            "class Box:\n"
+            "    def open(self):\n"
+            "        return self.close()\n"
+            "    def close(self):\n"
+            "        return Box\n"
+        ),
+        "b.py": "from .a import Box, used\nused(Box)\n",
+    }
+    assert unread_public_names(public, {"exported"}) == [
+        "a.py: unread public name lonely",
+        "a.py: unread public name open",
+    ]

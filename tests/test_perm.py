@@ -7,7 +7,6 @@ from planeperm.partitions import Partition
 from planeperm.perm import (
     Permutation,
     cycle_from_sequence,
-    parse_cycles,
     parse_sequence,
 )
 
@@ -95,11 +94,6 @@ def test_parse_sequence():
     assert parse_sequence("  3\t5 1 ") == (3, 5, 1)
     with pytest.raises(ValueError):
         parse_sequence("3 x 1")
-
-
-def test_parse_cycles():
-    p = parse_cycles("(1 3)(2)", labels=[1, 2, 3])
-    assert p(1) == 3 and p(2) == 2
 
 
 @st.composite

@@ -42,6 +42,14 @@ def transposes(n):
                 yield BlockInterchange(i, j, j + 1, l)
 
 
+def walk(p, x):
+    """The ``pi``-cycle through ``x``, walked from ``x``."""
+    cycle = [x]
+    while (y := p.pi(cycle[-1])) != x:
+        cycle.append(y)
+    return tuple(cycle)
+
+
 def all_moves(n):
     for i in range(1, n):
         for j in range(i, n):
@@ -73,7 +81,7 @@ def test_fixture_cycles_by_position():
     p = fixture()
     assert p.cycles_by_position() == ((3, 8, 4, 5, 6, 1), (7, 2))
     assert p.s_min((2, 7)) == 7
-    assert p.cycle_of(4) == (4, 5, 6, 1, 3, 8)
+    assert walk(p, 4) == (4, 5, 6, 1, 3, 8)
 
 
 def test_fixture_slice_at_8():
@@ -180,10 +188,10 @@ def test_swap_blocks():
 def test_exceedance_count_equals_diagonal_anti_exceedances_minus_one():
     p = fixture()
     mirror = PlanePermutation(p.s, p.diagonal)
-    assert p.exceedance_count() == len(mirror.anti_exceedances()) - 1
+    assert len(p.exceedances()) == len(mirror.anti_exceedances()) - 1
     for q in all_planes(4):
         mirror = PlanePermutation(q.s, q.diagonal)
-        assert q.exceedance_count() == len(mirror.anti_exceedances()) - 1
+        assert len(q.exceedances()) == len(mirror.anti_exceedances()) - 1
 
 
 def test_cycle_sum_bound_and_parity():
@@ -198,7 +206,7 @@ def test_ntae_count_formula():
     """Non-trivial anti-exceedances = n - exceedances - cycles."""
     for p in all_planes(4):
         k = len(p.cycles_by_position())
-        assert len(p.ntaes()) == 4 - p.exceedance_count() - k
+        assert len(p.ntaes()) == 4 - len(p.exceedances()) - k
 
 
 def test_slice_glue_roundtrip_exhaustive():
@@ -237,7 +245,7 @@ def test_case2_fragments_stay_above_earlier_minima():
             for move in transposes(n):
                 if p.classify(move) is not TransposeCase.CASE_2:
                     continue
-                split = frozenset(p.cycle_of(p.s[move.j]))
+                split = frozenset(walk(p, p.s[move.j]))
                 q = p.apply(move)
                 fragments = [
                     c for c in q.cycles_by_position() if set(c) <= split
@@ -265,7 +273,7 @@ def planes(draw, max_n=8):
 
 @given(planes())
 def test_exceedance_count_is_rotation_invariant(p):
-    counts = {q.exceedance_count() for q in p.rotations()}
+    counts = {len(p.rotate(r).exceedances()) for r in range(len(p))}
     assert len(counts) == 1
 
 
@@ -278,10 +286,9 @@ def test_rows_partition_into_exceedances_and_anti(p):
     assert p.ntaes() == tuple(x for x in anti if x not in trivial)
     cycles = p.cycles_by_position()
     for x in p.s:
-        walk = p.cycle_of(x)
-        assert walk[0] == x
+        walked = walk(p, x)
         (home,) = [c for c in cycles if x in c]
-        assert walk in [home[t:] + home[:t] for t in range(len(home))]
+        assert walked in [home[t:] + home[:t] for t in range(len(home))]
 
 
 @given(planes(), st.data())
