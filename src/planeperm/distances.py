@@ -90,19 +90,6 @@ def apply_block_interchange(
     return swap_blocks(row, move)[1:]
 
 
-def _gamma_images(gamma: Permutation, n: int) -> tuple[int, ...]:
-    # γ acts on 0..n, so its image tuple is already a 0-based array.
-    if gamma.labels != tuple(range(n + 1)):
-        raise ValueError(f"gamma must act on 0..{n}, got {gamma.labels!r}")
-    return gamma.images
-
-
-def _gaps(vertical: Sequence[int], gamma: Sequence[int]) -> tuple[int, int, int]:
-    with_gamma = array_cycle_counts([vertical[x] for x in gamma])
-    alone = array_cycle_counts(gamma)
-    return tuple(abs(c - d) for c, d in zip(with_gamma, alone))
-
-
 def td_lower_bound(seq: Sequence[int], gammas: Iterable[Permutation] | None = None) -> int:
     """Lower bound for the transposition distance of ``seq``.
 
@@ -122,7 +109,12 @@ def td_lower_bound(seq: Sequence[int], gammas: Iterable[Permutation] | None = No
         return (n + 2 - array_cycle_counts(vertical)[1]) // 2
     best = 0
     for gamma in gammas:
-        gap = max(_gaps(vertical, _gamma_images(gamma, n)))
+        # γ acts on 0..n, so its image tuple is already a 0-based array.
+        if gamma.labels != tuple(range(n + 1)):
+            raise ValueError(f"gamma must act on 0..{n}, got {gamma.labels!r}")
+        with_gamma = array_cycle_counts([vertical[x] for x in gamma.images])
+        alone = array_cycle_counts(gamma.images)
+        gap = max(abs(c - d) for c, d in zip(with_gamma, alone))
         best = max(best, (gap + 1) // 2)
     return best
 
@@ -247,8 +239,12 @@ def skew_seq(a: Sequence[int]) -> tuple[int, ...]:
     >>> skew_seq((1, 2))
     (0, 1, 2, -2, -1)
     """
-    a = check_signed(a)
-    return (0,) + tuple(a) + tuple(-v for v in reversed(a))
+    return _skew_row(check_signed(a))
+
+
+def _skew_row(a: Sequence[int]) -> tuple[int, ...]:
+    # ``skew_seq`` without validation.
+    return (0, *a, *(-v for v in reversed(a)))
 
 
 @dataclass(frozen=True)
@@ -293,7 +289,7 @@ def _signed_vertical(a: Sequence[int]) -> tuple[list[int], list[int]]:
     # ``skew_seq(a)``, diagonal 0 -> 1 -> .. -> n -> -n -> .. -> -1 -> 0) with
     # labels packed as v -> v and -v -> n + v, plus the packed row; unvalidated.
     n = len(a)
-    packed = [v if v >= 0 else n - v for v in (0, *a, *(-v for v in reversed(a)))]
+    packed = [v if v >= 0 else n - v for v in _skew_row(a)]
     _, succ = _row_tables(packed)
     # packed inverse diagonal: 0 -> -1, v -> v - 1, -v -> -(v + 1), -n -> n
     rot = [n + 1, *range(n), *range(n + 2, 2 * n + 1), n]
