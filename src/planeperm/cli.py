@@ -21,7 +21,15 @@ class Settings:
     jobs: int
     out: str | None
 
-    def emit(self, text: str) -> None:
+    def emit(self, kind: str, record: dict, columns, rows, lines) -> None:
+        """Render ``record`` plus its schema as json, ``columns`` over ``rows``
+        as csv, or ``lines`` as text, and write it to ``--out`` or stdout."""
+        if self.fmt == "json":
+            text = to_json({"schema": schema_id(kind), **record})
+        elif self.fmt == "csv":
+            text = to_csv(kind, columns, rows)
+        else:
+            text = "\n".join(lines) + "\n"
         if self.out:
             with open(self.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -151,27 +159,22 @@ def distance(settings: Settings, kind, inputs, scenario, oracle, cap, in_file) -
         _run(lambda t=t: _distance_record(kind, t, scenario, oracle, cap))
         for t in texts
     ]
-    if settings.fmt == "json":
-        text = to_json({"schema": schema_id("distance"), "records": records})
-    elif settings.fmt == "csv":
-        rows = [
-            (r["kind"], r["input"], r["value"], r.get("oracle"), r.get("match"))
-            for r in records
-        ]
-        text = to_csv("distance", ("kind", "input", "value", "oracle", "match"), rows)
-    else:
-        lines = []
-        for r in records:
-            lines.append(f"{r['kind']} {r['input']} -> {r['value']}")
-            lines.extend(f"  step {step}" for step in r.get("steps", ()))
-            if r.get("sorted") is False:
-                lines.append(f"  stuck at {r['final']}")
-            if "oracle" in r:
-                lines.append(
-                    f"  oracle {r['oracle']} {'match' if r['match'] else 'MISMATCH'}"
-                )
-        text = "\n".join(lines) + "\n"
-    settings.emit(text)
+    rows = [
+        (r["kind"], r["input"], r["value"], r.get("oracle"), r.get("match"))
+        for r in records
+    ]
+    lines = []
+    for r in records:
+        lines.append(f"{r['kind']} {r['input']} -> {r['value']}")
+        lines.extend(f"  step {step}" for step in r.get("steps", ()))
+        if r.get("sorted") is False:
+            lines.append(f"  stuck at {r['final']}")
+        if "oracle" in r:
+            lines.append(
+                f"  oracle {r['oracle']} {'match' if r['match'] else 'MISMATCH'}"
+            )
+    columns = ("kind", "input", "value", "oracle", "match")
+    settings.emit("distance", {"records": records}, columns, rows, lines)
     if oracle and not all(r["match"] for r in records):
         sys.exit(1)
 
@@ -212,24 +215,16 @@ def enumerate_cmd(settings: Settings, kind, n, lam) -> None:
         raise click.UsageError("--lam only applies to pk-lambda")
     values = _run(lambda: _enumerate_values(kind, n, lam_p))
     shown_lam = str(lam_p) if lam_p else None
-    if settings.fmt == "json":
-        text = to_json(
-            {
-                "schema": schema_id("enumerate"),
-                "kind": kind,
-                "n": n,
-                "lam": shown_lam,
-                "values": values,
-            }
-        )
-    elif settings.fmt == "csv":
-        rows = [(kind, n, shown_lam, k, v) for k, v in values.items()]
-        text = to_csv("enumerate", ("kind", "n", "lam", "k", "value"), rows)
-    else:
-        head = f"{kind} n={n}" + (f" lam={shown_lam}" if shown_lam else "")
-        lines = [head] + [f"k={k} {v}" for k, v in values.items()]
-        text = "\n".join(lines) + "\n"
-    settings.emit(text)
+    record = {
+        "kind": kind,
+        "n": n,
+        "lam": shown_lam,
+        "values": values,
+    }
+    rows = [(kind, n, shown_lam, k, v) for k, v in values.items()]
+    head = f"{kind} n={n}" + (f" lam={shown_lam}" if shown_lam else "")
+    lines = [head] + [f"k={k} {v}" for k, v in values.items()]
+    settings.emit("enumerate", record, ("kind", "n", "lam", "k", "value"), rows, lines)
 
 
 # -- verify and conjecture ----------------------------------------------
@@ -239,18 +234,12 @@ def _emit_report(settings: Settings, kind: str, head: dict, report: VerifyReport
     """Print a report; exit 1 if it failed, and 2 if it checked nothing at all."""
     if not report.checked:
         raise click.UsageError(f"{report.name} checks nothing; pick a larger N")
-    if settings.fmt == "json":
-        text = to_json({"schema": schema_id(kind), **head, **report.to_json_obj()})
-    elif settings.fmt == "csv":
-        columns = (*head.keys(), "passed", "checked", "failure_count")
-        rows = [(*head.values(), report.passed, report.checked, report.failure_count)]
-        text = to_csv(kind, columns, rows)
-    else:
-        lines = [report.summary_line()]
-        lines.extend(f"  {key}={value}" for key, value in report.info.items())
-        lines.extend(f"  fail {message}" for message in report.failures)
-        text = "\n".join(lines) + "\n"
-    settings.emit(text)
+    columns = (*head.keys(), "passed", "checked", "failure_count")
+    rows = [(*head.values(), report.passed, report.checked, report.failure_count)]
+    lines = [report.summary_line()]
+    lines.extend(f"  {key}={value}" for key, value in report.info.items())
+    lines.extend(f"  fail {message}" for message in report.failures)
+    settings.emit(kind, {**head, **report.to_json_obj()}, columns, rows, lines)
     if not report.passed:
         sys.exit(1)
 

@@ -21,15 +21,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .enumeration import xi
 from .partitions import exact_div
-from .perm import Permutation, _cycle_map, array_cycle_counts, count_cycles, parse_sequence
-from .plane import (
-    BlockInterchange,
-    TransposeCase,
-    _classify_points,
-    _move_points,
-    _row_tables,
-    swap_blocks,
-)
+from .perm import Permutation, array_cycle_counts, count_cycles, parse_sequence
+from .plane import BlockInterchange, TransposeCase, _case, _row_tables, swap_blocks
 from .report import VerifyReport, merge_reports, size_gate
 
 DEFAULT_BFS_CAP = 10**7
@@ -305,12 +298,6 @@ def _meets_middle(images: Sequence[int], packed: Sequence[int]) -> bool:
     return y == middle
 
 
-def _case(row: Sequence[int], images: Sequence[int], move: BlockInterchange) -> TransposeCase:
-    # The case of ``move`` on the plane of top row ``row`` and vertical ``images``.
-    move.validate(len(row))
-    return _classify_points(_cycle_map(row, images.__getitem__), _move_points(row, move))
-
-
 def rev_lower_bound(a: Sequence[int]) -> int:
     """Lower bound for the reversal distance of a signed permutation.
 
@@ -373,7 +360,7 @@ def _find_2_reversal(a: tuple[int, ...]) -> Reversal | None:
     else:
         j = 2 * n - pos[n + 1 - most_negative]
         move = Reversal(i, j) if i - 1 < j else Reversal(j + 1, i - 1)
-    case = _case(packed, images, move.as_block_interchange(n))
+    case = _case(packed, images.__getitem__, move.as_block_interchange(n))
     if case.cycle_delta != 2:
         raise AssertionError(f"constructed reversal {move} is {case} on {skew_seq(a)!r}")
     return move
@@ -591,7 +578,7 @@ def check_bid_replay_at(n: int) -> VerifyReport:
         current = seq
         for move in steps:
             row = augmented_row(current)
-            ok = ok and _case(row, _vertical_images(row), move) in SORTED_CASES
+            ok = ok and _case(row, _vertical_images(row).__getitem__, move) in SORTED_CASES
             current = apply_block_interchange(current, move)
         ok = ok and current == goal
         report.check(ok, lambda s=seq: f"scenario for {s!r} broke down")

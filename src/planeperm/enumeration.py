@@ -28,7 +28,7 @@ from .partitions import (
     splits,
     stirling_first,
 )
-from .perm import Permutation, _array_cycle_type, _cycle_map
+from .perm import Permutation, _array_cycle_type, _cycle_map, count_cycles
 from .plane import PlanePermutation, _anchored_rows, _ntaes, _row_tables
 from .report import VerifyReport, merge_reports, pmap, size_gate
 
@@ -92,11 +92,6 @@ class CountTable:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def rows(self) -> Iterator[tuple[int, tuple[int, ...], int]]:
-        """``(exceedances, bottom cycle type, count)`` in a stable order."""
-        for (a, parts), c in sorted(self.counts.items()):
-            yield a, parts, c
-
 
 def tabulate(n: int, lam: Partition) -> CountTable:
     """Count bottom permutations by cycle type and exceedances over ``U_D``.
@@ -148,7 +143,7 @@ def _ordinary_tables(
     diag = [0] * n
     for images in itertools.permutations(range(n)):
         a = sum(1 for x in range(n) if images[x] > x)
-        k = len(_array_cycle_type(images))
+        k = count_cycles(images)
         for x, y in enumerate(images):
             inv[y] = x
         for x in range(n):
@@ -193,7 +188,7 @@ def xi_brute_all(n: int) -> dict[int, int]:
     for row in _anchored_rows(n):
         _, ainv = _row_tables(row[::-1])  # alpha^-1 walks the row backwards
         beta = [ainv[(x + 1) % n] for x in range(n)]
-        k = len(_array_cycle_type(beta))
+        k = count_cycles(beta)
         hist[k] = hist.get(k, 0) + 1
     return hist
 
@@ -473,16 +468,21 @@ def verify_bijection(diag: Permutation) -> VerifyReport:
     n = len(diag.labels)
     size_gate("bijection", n, 7, EnumerationLimitError)
     rep = VerifyReport(f"bijection n={n} diag={diag.cycles()}")
-    planes = list(enumerate_U_D(diag))
-    by_top = {p.s: p for p in planes}
-
-    # forward: slice everything, demanding distinct keys and clean returns
     sliced: set[tuple] = set()
-    y1_per_b: dict[int, int] = {}
-    for p in planes:
-        b = len(p.cycles_by_position())
-        for eps in p.ntaes():
-            y1_per_b[b] = y1_per_b.get(b, 0) + 1
+    direct: set[tuple] = set()
+    y1_per_b: Counter = Counter()
+    y2_per_b: Counter = Counter()
+    y3_per_b: Counter = Counter()
+    planes = 0
+    for p in enumerate_U_D(diag):
+        planes += 1
+        cycles = p.cycles_by_position()
+        ntaes = p.ntaes()
+        b = len(cycles)
+
+        # forward: slice at each ntae, demanding distinct keys and clean returns
+        for eps in ntaes:
+            y1_per_b[b] += 1
             try:
                 res = p.slice(eps)
             except ValueError as err:
@@ -493,7 +493,7 @@ def verify_bijection(diag: Permutation) -> VerifyReport:
                 continue
             sliced.add(key)
             rep.check(
-                res.plane.pi.cycle_counts()[0] == b + 2,
+                len(res.plane.cycles_by_position()) == b + 2,
                 lambda key=key: f"slice did not add two cycles at {key}",
             )
             try:
@@ -506,52 +506,37 @@ def verify_bijection(diag: Permutation) -> VerifyReport:
                 lambda key=key: f"slice/glue round trip broke at {key}",
             )
 
-    # backward: census the marked planes and glue each one back
-    direct: dict[tuple, int] = {}
-    y2_per_b: dict[int, int] = {}
-    y3_per_b: dict[int, int] = {}
-    for q in planes:
-        cycles = q.cycles_by_position()
-        if len(cycles) < 3:
-            continue
-        b = len(cycles) - 2
-        ntae_set = set(q.ntaes())
+        # backward: census p's marked trios and glue each one back
         for trio in itertools.combinations(cycles, 3):
             minima = (trio[0][0], trio[1][0], trio[2][0])
-            direct[(q.s, minima, None)] = b
-            y2_per_b[b] = y2_per_b.get(b, 0) + 1
-            for eps in trio[2]:
-                if eps in ntae_set:
-                    direct[(q.s, minima, eps)] = b
-                    y3_per_b[b] = y3_per_b.get(b, 0) + 1
+            marks = [None, *(eps for eps in trio[2] if eps in ntaes)]
+            y2_per_b[b - 2] += 1
+            y3_per_b[b - 2] += len(marks) - 1
+            for dist in marks:
+                key = (p.s, minima, dist)
+                direct.add(key)
+                x3 = minima[2] if dist is None else p.pi(dist)
+                try:
+                    merged, eps_out = p.glue(minima[0], minima[1], x3)
+                    res = merged.slice(eps_out)
+                except ValueError as err:
+                    rep.check(False, f"glue/slice round trip refused {key}: {err}")
+                    continue
+                rep.check(
+                    res.plane == p and res.minima == minima and res.distinguished == dist,
+                    lambda key=key: f"glue/slice round trip broke at {key}",
+                )
 
-    for key in direct.keys() - sliced:
+    for key in direct - sliced:
         rep.check(False, f"census key never produced by a slice: {key}")
-    for key in sliced - direct.keys():
+    for key in sliced - direct:
         rep.check(False, f"slice key missing from the census: {key}")
 
-    for key in direct:
-        top, minima, dist = key
-        q = by_top[top]
-        x3 = minima[2] if dist is None else q.pi(dist)
-        try:
-            merged, eps_out = q.glue(minima[0], minima[1], x3)
-            res = merged.slice(eps_out)
-        except ValueError as err:
-            rep.check(False, f"glue/slice round trip refused {key}: {err}")
-            continue
-        rep.check(
-            res.plane == q and res.minima == minima and res.distinguished == dist,
-            lambda key=key: f"glue/slice round trip broke at {key}",
-        )
-
-    for b in sorted(set(y1_per_b) | set(y2_per_b) | set(y3_per_b)):
-        y1 = y1_per_b.get(b, 0)
-        y2 = y2_per_b.get(b, 0)
-        y3 = y3_per_b.get(b, 0)
+    for b in sorted({*y1_per_b, *y2_per_b, *y3_per_b}):
+        y1, y2, y3 = y1_per_b[b], y2_per_b[b], y3_per_b[b]
         rep.check(y1 == y2 + y3, f"b={b}: {y1} slices vs {y2} + {y3} marked planes")
 
-    rep.info["planes"] = len(planes)
+    rep.info["planes"] = planes
     rep.info["y1"] = sum(y1_per_b.values())
     rep.info["y2"] = sum(y2_per_b.values())
     rep.info["y3"] = sum(y3_per_b.values())

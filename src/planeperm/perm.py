@@ -1,7 +1,9 @@
 """Permutations of arbitrary finite label sets.
 
-Labels are integers but need not be ``1..n``; the signed-distance code
-works on sets like ``{-n, ..., n}``.  Composition is right-to-left,
+Labels are integers but need not be ``1..n``: a plane keeps the labels it
+is given, and ``td_lower_bound`` takes its γ on ``0..n``.  The signed
+distances do not use this class; they pack ``-n..n`` onto ``0..2n`` and
+work on image arrays.  Composition is right-to-left,
 ``(f * g)(x) == f(g(x))``, so the right factor acts first.  Cycle
 decompositions are canonical (each cycle starts at its smallest label,
 cycles sorted by that label, fixed points included), which makes the

@@ -259,8 +259,7 @@ class PlanePermutation:
 
     def classify(self, move: BlockInterchange) -> TransposeCase:
         """Which of the cycle-change cases ``move`` falls into."""
-        move.validate(len(self.s))
-        return _classify_points(self._cycle_at, _move_points(self.s, move))
+        return _case(self.s, self.pi, move)
 
     # -- slice and glue -------------------------------------------------
 
@@ -375,6 +374,12 @@ def _ntaes(row, pos, image, at) -> tuple[int, ...]:
     return tuple(x for x in row if pos[x] >= pos[y := image(x)] and at[y][0] != y)
 
 
+def _case(row: Sequence[int], image: Callable[[int], int], move: BlockInterchange) -> TransposeCase:
+    """The case of ``move`` on the plane of top row ``row`` and bottom permutation ``image``."""
+    move.validate(len(row))
+    return _classify_points(_cycle_map(row, image), _move_points(row, move))
+
+
 def _walk_from(cycle: tuple[int, ...], x: int) -> tuple[int, ...]:
     """``cycle`` rotated to start at ``x``."""
     t = cycle.index(x)
@@ -449,8 +454,10 @@ def _anchored_rows(n: int) -> Iterator[tuple[int, ...]]:
     return ((0, *rest) for rest in permutations(range(1, n)))
 
 
-def _check_structure(rep: VerifyReport, n, s, pi, pos, succ, moves) -> None:
+def _check_structure(rep: VerifyReport, s, pi, moves) -> None:
     """All per-pair invariants, on 0-based arrays for speed."""
+    n = len(s)
+    pos, succ = _row_tables(s)
     diag = [0] * n
     for x in range(n):
         diag[pi[x]] = succ[x]
@@ -499,15 +506,23 @@ def invariant_sweep(
 
     Exhaustive coverage runs over anchored top rows; every other written
     form is a relabeling of one of these, and the invariants are
-    relabeling covariant.  The randomized part draws arbitrary anchors.
+    relabeling covariant.  The randomized part draws arbitrary anchors on
+    4 to ``random_n`` labels.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
+    if random_cases < 0:
+        raise ValueError(f"random_cases must be at least 0, got {random_cases}")
+    if random_n < 4:
+        raise ValueError(f"random_n must be at least 4, got {random_n}")
+    if n_max == 0 and random_cases == 0:
+        raise ValueError("n_max and random_cases are both 0: nothing to check")
     rep = VerifyReport("invariant-sweep")
     for n in range(1, n_max + 1):
         moves = _all_moves(n)
         for s in _anchored_rows(n):
-            pos, succ = _row_tables(s)
             for pi in permutations(range(n)):
-                _check_structure(rep, n, s, pi, pos, succ, moves)
+                _check_structure(rep, s, pi, moves)
     rng = random.Random(seed)
     for _ in range(random_cases):
         n = rng.randint(4, random_n)
@@ -515,13 +530,10 @@ def invariant_sweep(
         rng.shuffle(s)
         pi = list(range(n))
         rng.shuffle(pi)
-        pos, succ = _row_tables(s)
         i = rng.randint(1, n - 2)
         j = rng.randint(i, n - 2)
         k = rng.randint(j + 1, n - 1)
         l = rng.randint(k, n - 1)
-        _check_structure(
-            rep, n, tuple(s), tuple(pi), pos, succ, (BlockInterchange(i, j, k, l),)
-        )
+        _check_structure(rep, tuple(s), tuple(pi), (BlockInterchange(i, j, k, l),))
     rep.info["random_cases"] = random_cases
     return rep

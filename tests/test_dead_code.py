@@ -84,44 +84,47 @@ def unused_private_names(modules: dict[str, str]) -> list[str]:
 
 
 def _public_definitions(tree: ast.Module):
-    """(name, first line, last line) of each public module-level function or
-    class and each public method, with whether it is a click command."""
+    """(name, first line, last line, is a method, is a click command) of each
+    public module-level function or class and each public method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             command = any(
                 "command" in ast.unparse(d) or "group" in ast.unparse(d)
                 for d in node.decorator_list
             )
-            yield node.name, node.lineno, node.end_lineno, command
+            yield node.name, node.lineno, node.end_lineno, False, command
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield item.name, item.lineno, item.end_lineno, False
+                    yield item.name, item.lineno, item.end_lineno, True, False
 
 
 def _reads(tree: ast.Module):
-    """(name, line) of each ``Name`` or ``Attribute`` load."""
+    """(name, line, is an attribute) of each ``Name`` or ``Attribute`` load."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
 def unread_public_names(modules: dict[str, str], kept: set[str]) -> list[str]:
     """``<file>: unread public name <name>`` for each public function, class
     or method that the library never reads outside its own definition, unless
-    it is a click command or its name is in ``kept``."""
+    it is a click command or its name is in ``kept``.  A method is read only
+    as an attribute; a bare name of the same word is some other variable."""
     reads = {name: list(_reads(ast.parse(text))) for name, text in modules.items()}
     found = []
     for name, text in modules.items():
-        for bound, first, last, command in _public_definitions(ast.parse(text)):
+        for bound, first, last, method, command in _public_definitions(ast.parse(text)):
             if command or bound in kept:
                 continue
             if not any(
-                read == bound and (key != name or not first <= line <= last)
+                read == bound
+                and (attribute or not method)
+                and (key != name or not first <= line <= last)
                 for key, loads in reads.items()
-                for read, line in loads
+                for read, line, attribute in loads
             ):
                 found.append(f"{name}: unread public name {bound}")
     return found
@@ -131,8 +134,8 @@ def kept_names() -> set[str]:
     """Public names with readers outside the library: the package exports,
     every identifier in a README code block, and what the benchmark calls.
     The benchmark's files are read, never written: every part of a tracer
-    target (``module:Class.method``) and every ``module.name`` it loads off
-    a library module."""
+    target (``module:Class.method``) and every attribute they load, which
+    covers both ``module.name`` and methods such as ``table.total()``."""
     init = ast.parse((SRC / "__init__.py").read_text())
     kept = {
         alias.asname or alias.name
@@ -143,15 +146,13 @@ def kept_names() -> set[str]:
     readme = (ROOT / "README.md").read_text()
     for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M):
         kept |= set(re.findall(r"[A-Za-z_]\w*", block))
-    library = {path.stem for path in SRC.glob("*.py")}
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if path.name == "tracing.py" and ":" in node.value:
                     kept |= set(node.value.split(":", 1)[1].split("."))
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id in library:
-                    kept.add(node.attr)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                kept.add(node.attr)
     return kept
 
 
@@ -199,10 +200,13 @@ def test_guard_reports_what_it_finds():
             "        return self.close()\n"
             "    def close(self):\n"
             "        return Box\n"
+            "    def rows(self):\n"
+            "        return 0\n"
         ),
-        "b.py": "from .a import Box, used\nused(Box)\n",
+        "b.py": "from .a import Box, used\nrows = used(Box)\nprint(rows)\n",
     }
     assert unread_public_names(public, {"exported"}) == [
         "a.py: unread public name lonely",
         "a.py: unread public name open",
+        "a.py: unread public name rows",
     ]

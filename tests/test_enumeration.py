@@ -11,7 +11,6 @@ import pytest
 
 from planeperm import enumeration
 from planeperm.enumeration import (
-    CountTable,
     EnumerationLimitError,
     W_count,
     enumerate_U_D,
@@ -39,6 +38,7 @@ from planeperm.enumeration import (
 )
 from planeperm.partitions import Partition, binomial, partitions_of, q_lambda, stirling_first
 from planeperm.perm import Permutation
+from planeperm.plane import PlanePermutation, SliceResult
 
 P = Partition.of
 
@@ -251,6 +251,41 @@ def test_bijection_single_diagonal():
     assert rep.info["y1"] == rep.info["y2"] + rep.info["y3"]
 
 
+# A full-cycle diagonal on 5 labels: 26 slices, 25 plain and 1 marked trio.
+FULL_CYCLE_5 = Permutation.from_cycle_type(P([5]))
+
+
+def test_bijection_reports_broken_round_trips(monkeypatch):
+    glue = PlanePermutation.glue
+
+    def rotated_glue(self, *anchors):
+        merged, eps = glue(self, *anchors)
+        return merged.rotate(1), eps
+
+    monkeypatch.setattr(PlanePermutation, "glue", rotated_glue)
+    rep = verify_bijection(FULL_CYCLE_5)
+    assert (rep.checked, rep.failure_count) == (106, 52)
+    assert any("slice/glue round trip" in m for m in rep.failures)
+    assert any("glue/slice round trip" in m for m in rep.failures)
+
+
+def test_bijection_reports_lost_marks(monkeypatch):
+    cut = PlanePermutation.slice
+
+    def unmarked_slice(self, eps):
+        res = cut(self, eps)
+        return SliceResult(res.plane, res.cycles, None)
+
+    monkeypatch.setattr(PlanePermutation, "slice", unmarked_slice)
+    rep = verify_bijection(FULL_CYCLE_5)
+    assert (rep.checked, rep.failure_count) == (105, 3)
+    assert any(m.startswith("slice collision") for m in rep.failures)
+    assert any(
+        m.startswith(("census key never produced by a slice", "slice key missing from the census"))
+        for m in rep.failures
+    )
+
+
 def test_bijection_census_matches_closed_forms():
     """Y-counts for all diagonals up to n=4 against direct formulas: the
     marked planes come from the exceedance census, the marked triples from
@@ -340,11 +375,3 @@ def test_identity_suites_pass_small():
     assert suite_exceedance(4).passed
     assert suite_p1(4).passed
     assert suite_w_identities(3).passed
-
-
-def test_count_table_rows_are_sorted():
-    table = tabulate(4, P([2, 2]))
-    rows = list(table.rows())
-    assert rows == sorted(rows)
-    assert all(isinstance(r, tuple) and len(r) == 3 for r in rows)
-    assert isinstance(table, CountTable)

@@ -15,6 +15,7 @@ from planeperm.plane import (
     BlockInterchange,
     PlanePermutation,
     TransposeCase,
+    invariant_sweep,
     swap_blocks,
 )
 
@@ -314,3 +315,17 @@ def test_random_slice_glue_roundtrip(p, data):
     res = p.slice(eps)
     back, recovered = res.plane.glue(*res.glue_anchors())
     assert (back, recovered) == (p, eps)
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"n_max": -2}, "n_max"),
+        ({"n_max": 0, "random_cases": -5}, "random_cases"),
+        ({"n_max": 0, "random_cases": 1, "random_n": 3}, "random_n"),
+        ({"n_max": 0, "random_cases": 0}, "nothing to check"),
+    ],
+)
+def test_invariant_sweep_refuses_what_it_cannot_check(kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        invariant_sweep(**kwargs)
