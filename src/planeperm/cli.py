@@ -155,10 +155,7 @@ def distance(settings: Settings, kind, inputs, scenario, oracle, cap, in_file) -
         raise click.UsageError("no permutations given; pass them as arguments or via --in")
     if scenario and kind not in ("bid", "rev-lb"):
         raise click.UsageError("--scenario applies to 'bid' and 'rev-lb' only")
-    records = [
-        _run(lambda t=t: _distance_record(kind, t, scenario, oracle, cap))
-        for t in texts
-    ]
+    records = [_run(lambda: _distance_record(kind, t, scenario, oracle, cap)) for t in texts]
     rows = [
         (r["kind"], r["input"], r["value"], r.get("oracle"), r.get("match"))
         for r in records

@@ -491,7 +491,6 @@ def _check_structure(rep: VerifyReport, s, pi, moves) -> None:
         ok = delta in (-2, 0) if want is None else delta == want
         if move.is_transpose:
             ok = ok and case.value in "123456"
-        # ``check`` formats a failure at once, so the closure sees this move.
         rep.check(ok, lambda: f"{ctx()} move={move}: case={case.value} delta={delta}")
 
 

@@ -34,7 +34,9 @@ class VerifyReport:
         return self.failure_count == 0
 
     def check(self, ok: bool, describe: str | Callable[[], str] = "") -> bool:
-        """Record one check; ``describe`` may be lazy so hot loops skip formatting."""
+        """Record one check; a callable ``describe`` lets hot loops skip
+        formatting.  It runs before ``check`` returns, and only for a failure
+        that is stored, so a closure reads the values of the failing iteration."""
         self.checked += 1
         if not ok:
             self.failure_count += 1

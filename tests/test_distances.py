@@ -27,6 +27,7 @@ from planeperm.distances import (
     brute_max_cycle_gap,
     check_bid_bfs_at,
     check_bid_histogram_at,
+    check_bid_replay_at,
     check_rev_bounds_at,
     check_td_bound_at,
     conjecture_scan,
@@ -592,6 +593,17 @@ def test_merged_oracle_info_covers_every_part():
         "tight_rate": f"{tight}/{sum(part.checked for part in rev_parts)}",
         "breakpoint_disagreements": 0,
     }
+
+
+def test_bid_replay_reports_a_sorter_that_breaks_down(monkeypatch):
+    real = distances.bid
+    monkeypatch.setattr(distances, "bid", lambda seq: real(seq) + 1)
+    rep = check_bid_replay_at(4)
+    assert not rep.passed
+    assert rep.checked == 24
+    assert rep.failures[0] == (
+        "scenario for (1, 2, 3, 4) broke down: sorter used 0 moves, expected 1"
+    )
 
 
 def test_rev_oracle_refuses_sizes_beyond_its_cap():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from planeperm import enumeration
+from planeperm.distances import conjecture_scan
 from planeperm.enumeration import (
     EnumerationLimitError,
     W_count,
@@ -162,6 +163,16 @@ def test_exceedance_totals_raises_under_optimize():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("raised exceedance totals disagree at n=3 k=1")
+
+
+def test_exceedance_suite_reports_disagreeing_closed_forms(monkeypatch):
+    checked = suite_exceedance(3).checked
+    real = enumeration.stirling_first
+    monkeypatch.setattr(enumeration, "stirling_first", lambda n, k: real(n, k) + 1)
+    rep = suite_exceedance(3)
+    assert not rep.passed
+    assert rep.checked == checked
+    assert "exceedance totals disagree at n=2 k=2: 0, 1" in rep.failures
 
 
 def test_ntae_identity():
@@ -364,6 +375,20 @@ EMPTY = Permutation((), ())
 )
 def test_empty_diagonal_is_refused(call):
     with pytest.raises(ValueError, match="a top row needs at least one label"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: conjecture_scan(0, "same-cycle-all"), "n must be at least 1, got 0"),
+        (lambda: conjecture_scan(0, "same-cycle-exact"), "n must be at least 1, got 0"),
+        (lambda: p1_routes(0, Partition(())), "a top row needs at least one label"),
+    ],
+    ids=["same-cycle-all", "same-cycle-exact", "p1_routes"],
+)
+def test_size_zero_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 

@@ -78,3 +78,10 @@ def test_pmap_matches_serial_order():
     items = list(range(20))
     assert pmap(_square, items, jobs=1) == [x * x for x in items]
     assert pmap(_square, items, jobs=3) == [x * x for x in items]
+
+
+def test_check_describes_the_failing_iteration():
+    rep = VerifyReport("demo")
+    for i in range(3):
+        rep.check(i != 1, lambda: f"i={i}")
+    assert rep.failures == ["i=1"]
