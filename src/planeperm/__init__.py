@@ -19,7 +19,6 @@ from .distances import (
 )
 from .enumeration import (
     CountTable,
-    EnumerationLimitError,
     W_count,
     enumerate_U_D,
     exceedance_totals,
@@ -31,7 +30,7 @@ from .enumeration import (
 from .partitions import Partition, binomial, partitions_of, q_lambda, stirling_first
 from .perm import Permutation, cycle_from_sequence, parse_sequence
 from .plane import BlockInterchange, PlanePermutation, SliceResult, TransposeCase
-from .report import VerifyReport
+from .report import EnumerationLimitError, VerifyReport
 
 __version__ = "0.1.0"
 

@@ -11,7 +11,7 @@ import click
 
 from . import distances, enumeration
 from .partitions import Partition, stirling_first
-from .report import VerifyReport, size_gate
+from .report import EnumerationLimitError, VerifyReport, size_gate
 from .serialize import schema_id, to_csv, to_json
 
 
@@ -74,7 +74,7 @@ def _run(thunk):
     """Evaluate, mapping resource-cap errors to exit code 3."""
     try:
         return thunk()
-    except (distances.SearchCapExceeded, enumeration.EnumerationLimitError) as err:
+    except (distances.SearchCapExceeded, EnumerationLimitError) as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(3)
 
@@ -183,7 +183,7 @@ def _enumerate_values(kind: str, n: int, lam: Partition | None) -> dict[int, int
     if kind == "pk-lambda":
         table = enumeration.tabulate(n, lam)
         return {k: table.p_k(k) for k in range(1, n + 1)}
-    size_gate(f"enumerate {kind}", n, 1000, enumeration.EnumerationLimitError)
+    size_gate(f"enumerate {kind}", n, 1000)
     if kind == "xi":
         return {k: v for k in range(1, n + 1) if (v := enumeration.xi(n, k))}
     if kind == "stirling":

@@ -23,7 +23,7 @@ from .enumeration import xi
 from .partitions import exact_div
 from .perm import Permutation, array_cycle_counts, count_cycles, parse_sequence
 from .plane import BlockInterchange, TransposeCase, _case, _row_tables, swap_blocks
-from .report import VerifyReport, merge_reports, size_gate
+from .report import VerifyReport, merge_reports, size_gate, summed
 
 DEFAULT_BFS_CAP = 10**7
 
@@ -33,7 +33,7 @@ SORTED_CASES = frozenset(
 
 
 class SearchCapExceeded(RuntimeError):
-    """A breadth-first search outgrew its state cap, or a suite its size gate."""
+    """A breadth-first search outgrew its state cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +419,7 @@ def conjecture_scan(n: int, which: str) -> VerifyReport:
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    size_gate("conjecture scan", n, 7, SearchCapExceeded)
+    size_gate("conjecture scan", n, 7)
     if which not in ("same-cycle-exact", "same-cycle-all"):
         raise ValueError(f"unknown conjecture scan {which!r}")
     exact_only = which == "same-cycle-exact"
@@ -611,14 +611,14 @@ def check_bid_histogram_at(n: int) -> VerifyReport:
 
 def suite_bid_oracle(n: int) -> VerifyReport:
     """BFS equality, scenario replay, and the distance histogram, for sizes up to n."""
-    size_gate("bid-oracle", n, 7, SearchCapExceeded)
+    size_gate("bid-oracle", n, 7)
     parts = []
     for m in range(1, n + 1):
         parts.append(check_bid_bfs_at(m))
         parts.append(check_bid_histogram_at(m))
         parts.append(check_bid_replay_at(m))
     merged = merge_reports(f"bid-oracle-n{n}", parts)
-    merged.info["states"] = sum(part.info.get("states", 0) for part in parts)
+    merged.info.update(summed(parts, "states"))
     histograms = [part.info["histogram"] for part in parts if "histogram" in part.info]
     for m, histogram in enumerate(histograms, start=1):
         merged.info[f"histogram_n{m}"] = histogram
@@ -642,10 +642,10 @@ def check_td_bound_at(n: int) -> VerifyReport:
 
 
 def suite_td_oracle(n: int) -> VerifyReport:
-    size_gate("td-oracle", n, 9, SearchCapExceeded)
+    size_gate("td-oracle", n, 9)
     parts = [check_td_bound_at(m) for m in range(1, n + 1)]
     merged = merge_reports(f"td-oracle-n{n}", parts)
-    merged.info["tight"] = sum(part.info["tight"] for part in parts)
+    merged.info.update(summed(parts, "tight"))
     return merged
 
 
@@ -671,21 +671,18 @@ def check_rev_bounds_at(n: int) -> VerifyReport:
 
 
 def suite_rev_oracle(n: int) -> VerifyReport:
-    size_gate("rev-oracle", n, 7, SearchCapExceeded)
+    size_gate("rev-oracle", n, 7)
     parts = [check_rev_bounds_at(m) for m in range(1, n + 1)]
     merged = merge_reports(f"rev-oracle-n{n}", parts)
-    for key in ("states", "tight"):
-        merged.info[key] = sum(part.info[key] for part in parts)
+    merged.info.update(summed(parts, "states", "tight"))
     merged.info["tight_rate"] = f"{merged.info['tight']}/{merged.checked}"
-    merged.info["breakpoint_disagreements"] = sum(
-        part.info["breakpoint_disagreements"] for part in parts
-    )
+    merged.info.update(summed(parts, "breakpoint_disagreements"))
     return merged
 
 
 def suite_max_gap(n: int) -> VerifyReport:
     """Closed-form cycle gap versus brute force on every permutation up to n."""
-    size_gate("max-gap", n, 6, SearchCapExceeded)
+    size_gate("max-gap", n, 6)
     report = VerifyReport(f"max-gap-n{n}")
     for m in range(1, n + 1):
         for images in itertools.permutations(range(1, m + 1)):

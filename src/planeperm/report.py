@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -10,6 +9,10 @@ MAX_STORED_FAILURES = 50
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+class EnumerationLimitError(RuntimeError):
+    """An exhaustive check or count was asked for a size above its gate."""
 
 
 @dataclass
@@ -70,14 +73,14 @@ class VerifyReport:
         }
 
 
-def size_gate(what: str, n: int, gate: int, error: type[Exception]) -> None:
+def size_gate(what: str, n: int, gate: int) -> None:
     """Refuse a size above ``gate`` before any work starts.
 
     A suite runs every one of its parts at every size up to ``n``; where it
     cannot, it refuses ``n`` here rather than quietly checking less.
     """
     if n > gate:
-        raise error(f"{what} capped at n={gate} (asked {n})")
+        raise EnumerationLimitError(f"{what} capped at n={gate} (asked {n})")
 
 
 def merge_reports(name: str, parts: Iterable[VerifyReport]) -> VerifyReport:
@@ -85,6 +88,11 @@ def merge_reports(name: str, parts: Iterable[VerifyReport]) -> VerifyReport:
     for part in parts:
         total.absorb(part)
     return total
+
+
+def summed(parts: Sequence[VerifyReport], *keys: str) -> dict:
+    """``{key: total over parts}`` in the order of ``keys``; a part without a key counts 0."""
+    return {key: sum(part.info.get(key, 0) for part in parts) for key in keys}
 
 
 def pmap(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list[R]:
@@ -95,6 +103,7 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list[R]:
     """
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    import multiprocessing  # only a pool needs it; every other command skips its import cost
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(min(jobs, len(items))) as pool:
         return pool.map(fn, items)

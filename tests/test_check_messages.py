@@ -2,10 +2,17 @@
 
 Each case patches what one check compares against, so that check fails, and
 pins the report's ``checked``, ``failure_count`` and first stored failure,
-plus the last one that does not come from the bijection's key-set
-comparisons (those list their keys in set order).  A message that names the
-wrong iteration, or formats differently, changes a pinned string.
+plus a later one.  A message that names the wrong iteration, or formats
+differently, changes a pinned string.  The bijection's failures are also
+compared across fresh processes, since its key-set comparisons walk sets of
+tuples that hold ``None``, whose hash changes from process to process.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +289,42 @@ def test_forced_failure_is_reported(
     rep = run()
     assert (rep.checked, rep.failure_count, rep.failures[0]) == (checked, failure_count, first)
     assert later in rep.failures
+
+
+BIJECTION_CASES = [case for case in CASES if case.id.startswith("bijection")]
+
+# Runs each bijection case in this fresh interpreter and prints its full report.
+REPORT_SCRIPT = """
+import json
+import test_check_messages as cases
+
+reports = []
+for case in cases.BIJECTION_CASES:
+    owner, name, patch, run = case.values[:4]
+    real = getattr(owner, name)
+    setattr(owner, name, patch(real))
+    try:
+        reports.append(run().to_json_obj())
+    finally:
+        setattr(owner, name, real)
+print(json.dumps(reports))
+"""
+
+
+def _bijection_reports_in_a_fresh_process() -> list[dict]:
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", REPORT_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def test_bijection_failures_are_listed_in_one_order_in_every_process():
+    first, second = _bijection_reports_in_a_fresh_process(), _bijection_reports_in_a_fresh_process()
+    assert first == second
+    by_id = dict(zip((case.id for case in BIJECTION_CASES), first))
+    assert by_id["bijection-two-cycles"]["failures"][-1] == (
+        "slice key missing from the census: ((1, 4, 3, 2), (1, 3, 4), None)"
+    )

@@ -1,5 +1,6 @@
 """Command line behaviour: output formats, exit codes, determinism."""
 
+import importlib.util
 import json
 import math
 import re
@@ -16,6 +17,7 @@ from planeperm.report import VerifyReport
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+CLI_COMPARE = README.parent / "tools" / "cli_compare.py"
 
 
 def run(*args, **kwargs):
@@ -441,3 +443,18 @@ def test_repeated_invocations_are_identical():
     first = run("--format", "json", "enumerate", "xi", "5")
     second = run("--format", "json", "enumerate", "xi", "5")
     assert first.stdout == second.stdout
+
+
+def test_byte_comparison_list_covers_every_command():
+    # Loaded, not run: the comparison itself starts hundreds of processes.
+    spec = importlib.util.spec_from_file_location("cli_compare", CLI_COMPARE)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    commands = [tuple(args) for args in tool.read_commands()]
+    assert len(commands) == len(set(commands))
+    named = {(c[i], c[i + 1]) for c in commands for i in range(len(c) - 1)}
+    for suite in cli.SUITE_RUNNERS:
+        assert ("verify", suite) in named, suite
+    for which in ("same-cycle-exact", "same-cycle-all"):
+        assert ("conjecture", which) in named, which
+    assert all(a == "{out}" for c in commands for a in c if "{" in a)

@@ -50,6 +50,7 @@ from planeperm.distances import (
 from planeperm.partitions import exact_div
 from planeperm.perm import Permutation, array_cycle_counts, count_cycles
 from planeperm.plane import BlockInterchange, PlanePermutation
+from planeperm.report import EnumerationLimitError
 
 # -- object references, independent of the array kernels they check ------
 
@@ -509,7 +510,7 @@ def test_conjecture_scan_small():
 
 def test_conjecture_scan_caps():
     for which in ("same-cycle-exact", "same-cycle-all"):
-        with pytest.raises(SearchCapExceeded, match=r"capped at n=7 \(asked 8\)"):
+        with pytest.raises(EnumerationLimitError, match=r"capped at n=7 \(asked 8\)"):
             conjecture_scan(8, which)
     with pytest.raises(ValueError):
         conjecture_scan(2, "same-cycle-sometimes")
@@ -607,7 +608,7 @@ def test_bid_replay_reports_a_sorter_that_breaks_down(monkeypatch):
 
 
 def test_rev_oracle_refuses_sizes_beyond_its_cap():
-    with pytest.raises(SearchCapExceeded, match=r"capped at n=7 \(asked 8\)"):
+    with pytest.raises(EnumerationLimitError, match=r"capped at n=7 \(asked 8\)"):
         suite_rev_oracle(8)
 
 

@@ -12,7 +12,6 @@ import pytest
 from planeperm import enumeration
 from planeperm.distances import conjecture_scan
 from planeperm.enumeration import (
-    EnumerationLimitError,
     W_count,
     enumerate_U_D,
     exceedance_totals,
@@ -40,6 +39,7 @@ from planeperm.enumeration import (
 from planeperm.partitions import Partition, binomial, partitions_of, q_lambda, stirling_first
 from planeperm.perm import Permutation
 from planeperm.plane import PlanePermutation, SliceResult
+from planeperm.report import EnumerationLimitError
 
 P = Partition.of
 
@@ -260,6 +260,18 @@ def test_bijection_single_diagonal():
     rep = verify_bijection(Permutation.from_cycle_type(P([3, 2])))
     assert rep.passed
     assert rep.info["y1"] == rep.info["y2"] + rep.info["y3"]
+
+
+def test_bijection_direct_call_is_bounded_by_the_plane_census():
+    with pytest.raises(EnumerationLimitError, match=r"^enumerate_U_D capped at n=10 \(asked 11\)$"):
+        verify_bijection(Permutation.from_cycle_type(P([11])))
+
+
+def test_bijection_one_diagonal_beyond_the_suite_gate():
+    # suite_bijection stops at 7; one diagonal of 8 labels is 7! planes.
+    rep = verify_bijection(Permutation.from_cycle_type(P([8])))
+    assert (rep.passed, rep.checked) == (True, 43491)
+    assert rep.info == {"planes": 5040, "y1": 10872, "y2": 10052, "y3": 820}
 
 
 # A full-cycle diagonal on 5 labels: 26 slices, 25 plain and 1 marked trio.

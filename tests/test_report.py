@@ -1,8 +1,15 @@
 """Check accounting used by the verification suites."""
 
 import json
+import time
+from functools import partial
 
-from planeperm.report import VerifyReport, merge_reports, pmap
+import pytest
+
+from planeperm import distances, enumeration
+from planeperm.partitions import Partition
+from planeperm.perm import Permutation
+from planeperm.report import EnumerationLimitError, VerifyReport, merge_reports, pmap, summed
 
 
 def test_check_counts_and_passes():
@@ -85,3 +92,50 @@ def test_check_describes_the_failing_iteration():
     for i in range(3):
         rep.check(i != 1, lambda: f"i={i}")
     assert rep.failures == ["i=1"]
+
+
+def test_summed_keeps_key_order_and_counts_missing_keys_as_zero():
+    a = VerifyReport("a", info={"tight": 2, "states": 5})
+    b = VerifyReport("b", info={"states": 7, "other": 1})
+    totals = summed([a, b], "states", "tight", "absent")
+    assert totals == {"states": 12, "tight": 2, "absent": 0}
+    assert list(totals) == ["states", "tight", "absent"]
+    assert summed([], "states") == {"states": 0}
+
+
+# Every library entry point with a size gate: (what the refusal names, gate, call).
+LIBRARY_GATES = [
+    ("ntae-identity", 8, enumeration.suite_ntae_identity),
+    ("f-recurrence", 8, enumeration.suite_f_recurrence),
+    ("cycle-recurrence", 8, enumeration.suite_cycle_recurrence),
+    ("stirling", 240, enumeration.verify_stirling_recurrence),
+    ("zagier-stanley", 8, enumeration.suite_zagier_stanley),
+    ("trisection", 4, enumeration.suite_trisection),
+    ("bijection", 7, enumeration.suite_bijection),
+    ("exceedance", 8, enumeration.suite_exceedance),
+    ("p1", 8, enumeration.suite_p1),
+    ("w-identities", 6, enumeration.suite_w_identities),
+    ("bid-oracle", 7, distances.suite_bid_oracle),
+    ("rev-oracle", 7, distances.suite_rev_oracle),
+    ("td-oracle", 9, distances.suite_td_oracle),
+    ("max-gap", 6, distances.suite_max_gap),
+    *(
+        pytest.param("conjecture scan", 7, partial(distances.conjecture_scan, which=which), id=which)
+        for which in ("same-cycle-exact", "same-cycle-all")
+    ),
+    pytest.param("tabulate", 10, lambda n: enumeration.tabulate(n, Partition.of([n])), id="tabulate"),
+    pytest.param(
+        "enumerate_U_D", 10,
+        lambda n: enumeration.enumerate_U_D(Permutation.identity(range(1, n + 1))),
+        id="enumerate_U_D",
+    ),
+]
+
+
+@pytest.mark.parametrize("what, gate, call", LIBRARY_GATES)
+def test_every_size_gate_raises_one_error_before_any_work(what, gate, call):
+    started = time.perf_counter()
+    with pytest.raises(EnumerationLimitError) as refused:
+        call(gate + 1)
+    assert time.perf_counter() - started < 1.0
+    assert str(refused.value) == f"{what} capped at n={gate} (asked {gate + 1})"
