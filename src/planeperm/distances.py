@@ -68,48 +68,12 @@ def _vertical_images(row: Sequence[int]) -> list[int]:
     return [y - 1 if y else len(row) - 1 for y in succ]
 
 
-def apply_block_interchange(
-    seq: Sequence[int], move: BlockInterchange | tuple[int, int, int, int]
-) -> tuple[int, ...]:
-    """Swap the blocks at 1-based positions [i..j] and [k..l] of a bare sequence.
-
-    >>> apply_block_interchange((3, 2, 1), (1, 1, 3, 3))
-    (1, 2, 3)
-    """
-    if not isinstance(move, BlockInterchange):
-        move = BlockInterchange(*move)
-    row = augmented_row(seq)
-    move.validate(len(row))
-    return swap_blocks(row, move)[1:]
-
-
-def td_lower_bound(seq: Sequence[int], gammas: Iterable[Permutation] | None = None) -> int:
-    """Lower bound for the transposition distance of ``seq``.
-
-    Each γ, which must act on the anchored label set 0..n, yields the bound
-    ceil(gap/2), where gap is the largest absolute change of the (total, odd,
-    even) cycle counts when the vertical of the sorting plane is composed
-    with γ; the result is the best bound over the supplied γ.  The defaults
-    are the inverse of the vertical and the identity.  Both give the gaps
-    (n+1−C, n+1−C_odd, C_even) of the vertical's cycle counts, so the default
-    bound is ceil((n+1−C_odd)/2), the odd-cycle bound of the cycle graph, and
-    is read off C_odd directly.
-    """
+def td_lower_bound(seq: Sequence[int]) -> int:
+    """Odd-cycle lower bound ceil((n+1−C_odd)/2) for the transposition distance
+    of ``seq``, with C_odd the odd cycles of the sorting plane's vertical."""
     seq = check_sequence(seq)
-    n = len(seq)
     vertical = _vertical_images(augmented_row(seq))
-    if gammas is None:
-        return (n + 2 - array_cycle_counts(vertical)[1]) // 2
-    best = 0
-    for gamma in gammas:
-        # γ acts on 0..n, so its image tuple is already a 0-based array.
-        if gamma.labels != tuple(range(n + 1)):
-            raise ValueError(f"gamma must act on 0..{n}, got {gamma.labels!r}")
-        with_gamma = array_cycle_counts([vertical[x] for x in gamma.images])
-        alone = array_cycle_counts(gamma.images)
-        gap = max(abs(c - d) for c, d in zip(with_gamma, alone))
-        best = max(best, (gap + 1) // 2)
-    return best
+    return (len(seq) + 2 - array_cycle_counts(vertical)[1]) // 2
 
 
 def bid(seq: Sequence[int]) -> int:
@@ -516,9 +480,7 @@ def _bfs(
 _bfs_from = lru_cache(maxsize=16)(_bfs)
 
 
-def bfs_distances(
-    start: Sequence[int], kind: str, cap: int = DEFAULT_BFS_CAP
-) -> dict[tuple[int, ...], int]:
+def bfs_distances(start: Sequence[int], kind: str) -> dict[tuple[int, ...], int]:
     """Distance from ``start`` to every reachable state under one move family.
 
     ``kind`` is one of ``transpositions``, ``block_interchanges``,
@@ -527,7 +489,7 @@ def bfs_distances(
     """
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator family {kind!r}")
-    return dict(_bfs_from(tuple(start), kind, cap))
+    return dict(_bfs_from(tuple(start), kind, DEFAULT_BFS_CAP))
 
 
 def bfs_distance(
@@ -578,12 +540,11 @@ def check_bid_replay_at(n: int) -> VerifyReport:
             report.check(False, f"scenario for {seq!r} broke down: {err}")
             continue
         ok = len(steps) == bid(seq)
-        current = seq
+        row = augmented_row(seq)
         for move in steps:
-            row = augmented_row(current)
             ok = ok and _case(row, _vertical_images(row).__getitem__, move) in SORTED_CASES
-            current = apply_block_interchange(current, move)
-        ok = ok and current == goal
+            row = swap_blocks(row, move)
+        ok = ok and row[1:] == goal
         report.check(ok, lambda: f"scenario for {seq!r} broke down")
     return report
 

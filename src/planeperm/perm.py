@@ -1,9 +1,8 @@
 """Permutations of arbitrary finite label sets.
 
 Labels are integers but need not be ``1..n``: a plane keeps the labels it
-is given, and ``td_lower_bound`` takes its γ on ``0..n``.  The signed
-distances do not use this class; they pack ``-n..n`` onto ``0..2n`` and
-work on image arrays.  Composition is right-to-left,
+is given.  The signed distances do not use this class; they pack ``-n..n``
+onto ``0..2n`` and work on image arrays.  Composition is right-to-left,
 ``(f * g)(x) == f(g(x))``, so the right factor acts first.  Cycle
 decompositions are canonical (each cycle starts at its smallest label,
 cycles sorted by that label, fixed points included), which makes the
@@ -89,21 +88,16 @@ class Permutation:
         return cls(tuple(range(1, n + 1)), tuple(images))
 
     @classmethod
-    def from_cycles(
-        cls, cycles: Iterable[Sequence[int]], labels: Iterable[int] | None = None
-    ) -> "Permutation":
-        """Build from disjoint cycles; extra ``labels`` become fixed points."""
+    def from_cycles(cls, cycles: Iterable[Sequence[int]]) -> "Permutation":
+        """Build from disjoint cycles; a fixed point is a cycle of one label."""
         mapping: dict[int, int] = {}
         for cyc in cycles:
             if not cyc:
                 raise ValueError("empty cycle")
             for x, y in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
                 if x in mapping:
-                    raise ValueError(f"label {x} appears in two cycles")
+                    raise ValueError(f"label {x} appears more than once")
                 mapping[x] = y
-        if labels is not None:
-            for x in labels:
-                mapping.setdefault(x, x)
         return cls.from_mapping(mapping)
 
     @classmethod

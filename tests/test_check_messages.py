@@ -44,7 +44,7 @@ from planeperm.perm import Permutation
 from planeperm.plane import PlanePermutation, SliceResult
 
 P = Partition.of
-MATCHING_4 = Permutation.from_cycles([(1, 3), (2, 4)], labels=range(1, 5))
+MATCHING_4 = Permutation.from_cycles([(1, 3), (2, 4)])
 FULL_CYCLE_4 = Permutation.from_cycles([(1, 2, 3, 4)])
 
 

@@ -1,5 +1,6 @@
 """Dead-code guard over the library: unused imports, unused private names,
-and public names that nothing but the tests reads."""
+public names that nothing but the tests reads, and parameters with a default
+that no call in the library or the benchmark passes."""
 
 import ast
 import re
@@ -156,6 +157,58 @@ def kept_names() -> set[str]:
     return kept
 
 
+def _optional_parameters(tree: ast.Module):
+    """(function, parameter, position) of each parameter with a default in a
+    module-level function or a method.  A method's positions skip ``self`` or
+    ``cls``; a keyword-only parameter has no position."""
+    for node in tree.body:
+        in_class = isinstance(node, ast.ClassDef)
+        for fn in node.body if in_class else [node]:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            static = any(ast.unparse(d) == "staticmethod" for d in fn.decorator_list)
+            skip = int(in_class and not static)
+            positional = fn.args.posonlyargs + fn.args.args
+            first_default = len(positional) - len(fn.args.defaults)
+            for t, arg in enumerate(positional[first_default:], first_default):
+                yield fn.name, arg.arg, t - skip
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield fn.name, arg.arg, None
+
+
+def unpassed_parameters(library: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """``<file>: <function>(<param>) is never passed`` for each parameter with
+    a default that no call in ``callers`` passes, by keyword, by position or
+    through ``**kwargs``.  A call is matched by the name it calls."""
+    passed: dict[str | None, set] = {}
+    for text in callers.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                got = passed.setdefault(called, set())
+                got.update(range(len(node.args)))
+                got.update("*" for a in node.args if isinstance(a, ast.Starred))
+                got.update(k.arg or "**" for k in node.keywords)
+    found = []
+    for name, text in library.items():
+        for function, param, position in _optional_parameters(ast.parse(text)):
+            ways = {param, "**"} | ({position, "*"} if position is not None else set())
+            if not passed.get(function, set()) & ways:
+                found.append(f"{name}: {function}({param}) is never passed")
+    return found
+
+
+def _callers() -> dict[str, str]:
+    """The library and the benchmark, which is read, never written."""
+    bench = {
+        f"perfbench/{path.name}": path.read_text()
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+    }
+    return {**_modules(), **bench}
+
+
 def test_no_unused_imports():
     assert unused_imports(_modules()) == []
 
@@ -166,6 +219,10 @@ def test_no_unused_private_names():
 
 def test_every_public_name_is_read():
     assert unread_public_names(_modules(), kept_names()) == []
+
+
+def test_every_optional_parameter_is_passed():
+    assert unpassed_parameters(_modules(), _callers()) == []
 
 
 def test_guard_reports_what_it_finds():
@@ -209,4 +266,35 @@ def test_guard_reports_what_it_finds():
         "a.py: unread public name lonely",
         "a.py: unread public name open",
         "a.py: unread public name rows",
+    ]
+
+
+def test_parameter_guard_reports_what_it_finds():
+    library = {
+        "a.py": (
+            "def f(x, by_position=1, by_keyword=2, lonely=3, *, alone=4):\n"
+            "    return x\n"
+            "def g(x, starred=1, *, kw_only=2):\n"
+            "    return x\n"
+            "def h(x, spread=1, *, also=2):\n"
+            "    return x\n"
+            "class Box:\n"
+            "    def open(self, wide=False, lid=None):\n"
+            "        return wide\n"
+            "    @staticmethod\n"
+            "    def make(size=1):\n"
+            "        return size\n"
+        ),
+        "b.py": "from .a import f, h\nf(0, 1, by_keyword=2)\nh(0, **options)\n",
+    }
+    callers = {
+        "b.py": library["b.py"],
+        "c.py": "g(*args)\nbox.open(True)\nBox.make()\n",
+    }
+    assert unpassed_parameters(library, callers) == [
+        "a.py: f(lonely) is never passed",
+        "a.py: f(alone) is never passed",
+        "a.py: g(kw_only) is never passed",
+        "a.py: open(lid) is never passed",
+        "a.py: make(size) is never passed",
     ]

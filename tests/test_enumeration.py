@@ -45,7 +45,7 @@ P = Partition.of
 
 
 def test_enumerate_U_D_census():
-    diag = Permutation.from_cycles([(1, 2), (3,)], labels=(1, 2, 3))
+    diag = Permutation.from_cycles([(1, 2), (3,)])
     planes = list(enumerate_U_D(diag))
     assert len(planes) == 2
     assert all(p.s[0] == 1 for p in planes)
@@ -333,7 +333,7 @@ def test_bijection_census_matches_closed_forms():
 
 
 def test_trisection_hand_case():
-    diag = Permutation.from_cycles([(1, 2), (3, 4)], labels=range(1, 5))
+    diag = Permutation.from_cycles([(1, 2), (3, 4)])
     rep = verify_trisection(diag)
     assert rep.passed
     # object-level recount of the same facts
@@ -346,13 +346,13 @@ def test_trisection_hand_case():
 
 
 def test_trisection_sparse_labels():
-    diag = Permutation.from_cycles([(1, 3), (2, 5)], labels=(1, 2, 3, 5))
+    diag = Permutation.from_cycles([(1, 3), (2, 5)])
     assert verify_trisection(diag).passed
 
 
 def test_trisection_rejects_non_involutions():
     with pytest.raises(ValueError):
-        verify_trisection(Permutation.from_cycles([(1, 2, 3), (4,)], labels=range(1, 5)))
+        verify_trisection(Permutation.from_cycles([(1, 2, 3), (4,)]))
     with pytest.raises(ValueError):
         verify_trisection(Permutation.identity(range(1, 3)))
 

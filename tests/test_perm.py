@@ -43,11 +43,19 @@ def test_inverse():
 
 
 def test_from_cycles():
-    p = Permutation.from_cycles([(1, 3), (2,)], labels=[1, 2, 3])
+    p = Permutation.from_cycles([(1, 3), (2,)])
     assert p(1) == 3 and p(3) == 1 and p(2) == 2
     # labels can be inferred from the cycles themselves
     q = Permutation.from_cycles([(5, 7, 6)])
     assert q(5) == 7 and q(7) == 6 and q(6) == 5
+
+
+def test_from_cycles_names_a_repeated_label():
+    for cycles, label in (([(1, 2, 1)], 1), ([(1, 2), (2, 3)], 2)):
+        with pytest.raises(ValueError, match=rf"^label {label} appears more than once$"):
+            Permutation.from_cycles(cycles)
+    with pytest.raises(ValueError, match=r"^label 1 appears more than once$"):
+        cycle_from_sequence([1, 1])
 
 
 def test_from_cycle_type_default_labels():
@@ -63,13 +71,13 @@ def test_from_cycle_type_custom_labels():
 
 
 def test_cycle_counts():
-    p = Permutation.from_cycles([(1, 2, 3), (4, 5), (6,)], labels=range(1, 7))
+    p = Permutation.from_cycles([(1, 2, 3), (4, 5), (6,)])
     total, odd, even = p.cycle_counts()
     assert (total, odd, even) == (3, 2, 1)
 
 
 def test_same_cycle():
-    p = Permutation.from_cycles([(1, 4, 2), (3, 5)], labels=range(1, 6))
+    p = Permutation.from_cycles([(1, 4, 2), (3, 5)])
     assert p.same_cycle(1, 2)
     assert p.same_cycle(3, 5)
     assert not p.same_cycle(1, 3)
