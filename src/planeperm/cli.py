@@ -155,6 +155,9 @@ def distance(settings: Settings, kind, inputs, scenario, oracle, cap, in_file) -
         raise click.UsageError("no permutations given; pass them as arguments or via --in")
     if scenario and kind not in ("bid", "rev-lb"):
         raise click.UsageError("--scenario applies to 'bid' and 'rev-lb' only")
+    cap_source = click.get_current_context().get_parameter_source("cap")
+    if cap_source is not click.core.ParameterSource.DEFAULT and not oracle:
+        raise click.UsageError("--cap applies with --oracle only")
     records = [_run(lambda: _distance_record(kind, t, scenario, oracle, cap)) for t in texts]
     rows = [
         (r["kind"], r["input"], r["value"], r.get("oracle"), r.get("match"))

@@ -29,6 +29,7 @@ from .partitions import (
 )
 from .perm import Permutation, _array_cycle_type, _cycle_map, count_cycles
 from .plane import PlanePermutation, _anchored_rows, _ntaes, _row_tables
+from .plane import _glue, _rows_of, _slice
 from .report import VerifyReport, merge_reports, pmap, size_gate, summed
 
 # The six table suites tabulate every cycle type at every size up to N.
@@ -45,12 +46,14 @@ def enumerate_U_D(diag: Permutation) -> Iterator[PlanePermutation]:
     >>> sorted(p.s for p in enumerate_U_D(diag))
     [(1, 2, 3), (1, 3, 2)]
     """
+    return (PlanePermutation.from_diagonal(s, diag) for s in _top_rows(diag))
+
+
+def _top_rows(diag: Permutation) -> Iterator[tuple[int, ...]]:
+    """The top rows of :func:`enumerate_U_D`, in its order and under its gate."""
     labels = diag.labels
     size_gate("enumerate_U_D", len(labels), 10)
-    return (
-        PlanePermutation.from_diagonal(tuple(labels[i] for i in row), diag)
-        for row in _anchored_rows(len(labels))
-    )
+    return (tuple(labels[i] for i in row) for row in _anchored_rows(len(labels)))
 
 
 @dataclass(frozen=True)
@@ -457,41 +460,46 @@ def verify_bijection(diag: Permutation) -> VerifyReport:
     """
     n = len(diag.labels)
     rep = VerifyReport(f"bijection n={n} diag={diag.cycles()}")
+    unwind = dict(zip(diag.images, diag.labels))
     sliced: set[tuple] = set()
     direct: set[tuple] = set()
     y1_per_b: Counter = Counter()
     y2_per_b: Counter = Counter()
     y3_per_b: Counter = Counter()
     planes = 0
-    for p in enumerate_U_D(diag):
+    for s in _top_rows(diag):
+        # pi = diag^-1 after the cycle of s, so that diag(pi(x)) is x's successor
+        p = _rows_of(s, {x: unwind[y] for x, y in zip(s, s[1:] + s[:1])})
         planes += 1
-        cycles = p.cycles_by_position()
-        ntaes = p.ntaes()
+        cycles = [c for x, c in p.at.items() if c[0] == x]
+        ntaes = _ntaes(s, p.pos, p.pi.__getitem__, p.at)
         b = len(cycles)
 
         # forward: slice at each ntae, demanding distinct keys and clean returns
         for eps in ntaes:
             y1_per_b[b] += 1
             try:
-                res = p.slice(eps)
+                out, fragments, dist = _slice(p, eps)
             except ValueError as err:
-                rep.check(False, f"slice refused {p.s} at eps={eps}: {err}")
+                rep.check(False, f"slice refused {s} at eps={eps}: {err}")
                 continue
-            key = (res.plane.s, res.minima, res.distinguished)
+            minima = tuple(c[0] for c in fragments)
+            key = (out.s, minima, dist)
             if not rep.check(key not in sliced, lambda: f"slice collision at {key}"):
                 continue
             sliced.add(key)
             rep.check(
-                len(res.plane.cycles_by_position()) == b + 2,
+                sum(1 for x, c in out.at.items() if c[0] == x) == b + 2,
                 lambda: f"slice did not add two cycles at {key}",
             )
+            x3 = minima[2] if dist is None else out.pi[dist]
             try:
-                back, eps_back = res.plane.glue(*res.glue_anchors())
+                back, eps_back = _glue(out, minima[0], minima[1], x3)
             except ValueError as err:
                 rep.check(False, f"glue refused the anchors of {key}: {err}")
                 continue
             rep.check(
-                back == p and eps_back == eps,
+                back.s == s and back.pi == p.pi and eps_back == eps,
                 lambda: f"slice/glue round trip broke at {key}",
             )
 
@@ -502,17 +510,18 @@ def verify_bijection(diag: Permutation) -> VerifyReport:
             y2_per_b[b - 2] += 1
             y3_per_b[b - 2] += len(marks) - 1
             for dist in marks:
-                key = (p.s, minima, dist)
+                key = (s, minima, dist)
                 direct.add(key)
-                x3 = minima[2] if dist is None else p.pi(dist)
+                x3 = minima[2] if dist is None else p.pi[dist]
                 try:
-                    merged, eps_out = p.glue(minima[0], minima[1], x3)
-                    res = merged.slice(eps_out)
+                    merged, eps_out = _glue(p, minima[0], minima[1], x3)
+                    out, fragments, dist_back = _slice(merged, eps_out)
                 except ValueError as err:
                     rep.check(False, f"glue/slice round trip refused {key}: {err}")
                     continue
+                returned = (out.s, out.pi, tuple(c[0] for c in fragments), dist_back)
                 rep.check(
-                    res.plane == p and res.minima == minima and res.distinguished == dist,
+                    returned == (s, p.pi, minima, dist),
                     lambda: f"glue/slice round trip broke at {key}",
                 )
 

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .perm import Permutation, _cycle_map, count_cycles, cycle_from_sequence
 from .report import VerifyReport
@@ -188,11 +188,8 @@ class PlanePermutation:
         return len(self.s)
 
     @cached_property
-    def _pos(self) -> dict[int, int]:
-        return {x: t for t, x in enumerate(self.s)}
-
-    def position(self, x: int) -> int:
-        return self._pos[x]
+    def _rows(self) -> "_Rows":
+        return _rows_of(self.s, dict(zip(self.pi.labels, self.pi.images)))
 
     @cached_property
     def diagonal(self) -> Permutation:
@@ -211,38 +208,27 @@ class PlanePermutation:
 
     def exceedances(self) -> tuple[int, ...]:
         """Labels moved strictly later in the top-row order, listed in that order."""
-        pos = self._pos
+        pos = self._rows.pos
         return tuple(x for x in self.s if pos[x] < pos[self.pi(x)])
 
     def anti_exceedances(self) -> tuple[int, ...]:
         """Labels moved earlier or fixed; complement of the exceedances."""
-        pos = self._pos
+        pos = self._rows.pos
         return tuple(x for x in self.s if pos[x] >= pos[self.pi(x)])
-
-    def s_min(self, labels) -> int:
-        """The earliest of ``labels`` in the top-row order."""
-        pos = self._pos
-        return min(labels, key=pos.__getitem__)
-
-    @cached_property
-    def _cycle_at(self) -> dict[int, tuple[int, ...]]:
-        """Each label's ``pi``-cycle, walked from its top-row minimum; the
-        cycles enter in the top-row order of those minima."""
-        return _cycle_map(self.s, self.pi)
 
     def cycles_by_position(self) -> tuple[tuple[int, ...], ...]:
         """All ``pi``-cycles, each walked from its top-row minimum, sorted
         by where those minima sit in the top row."""
-        return tuple(c for x, c in self._cycle_at.items() if c[0] == x)
+        return tuple(c for x, c in self._rows.at.items() if c[0] == x)
 
     def trivial_anti_exceedances(self) -> tuple[int, ...]:
         """One anti-exceedance per cycle: the preimage of the cycle's
         top-row minimum.  Listed in top-row order."""
-        return tuple(x for x in self.s if self._cycle_at[x][-1] == x)
+        return tuple(x for x in self.s if self._rows.at[x][-1] == x)
 
     def ntaes(self) -> tuple[int, ...]:
         """Non-trivial anti-exceedances, in top-row order."""
-        return _ntaes(self.s, self._pos, self.pi, self._cycle_at)
+        return _ntaes(self.s, self._rows.pos, self.pi, self._rows.at)
 
     # -- block interchanges ---------------------------------------------
 
@@ -275,28 +261,8 @@ class PlanePermutation:
         minimum, ``eps`` stays distinguished and the slice lands in the
         decorated family rather than the plain one.
         """
-        pos = self._pos
-        if eps not in pos:
-            raise ValueError(f"{eps} is not a label of this plane permutation")
-        target = self.pi(eps)
-        if pos[eps] < pos[target]:
-            raise ValueError(f"{eps} is an exceedance, not an anti-exceedance")
-        cycle = self._cycle_at[eps]
-        if target == cycle[0]:
-            raise ValueError(f"{eps} is the trivial anti-exceedance of its cycle")
-        walked = cycle[1 : cycle.index(eps) + 1]
-        split_end = self.s_min(z for z in walked if pos[z] > pos[target])
-        move = BlockInterchange(
-            pos[cycle[0]] + 1, pos[target], pos[target] + 1, pos[split_end]
-        )
-        out = self.apply(move)
-        fragments = sorted(
-            (out._cycle_at[x] for x in (cycle[0], target, split_end)),
-            key=lambda c: out.position(c[0]),
-        )
-        middle = next(c for c in fragments if target in c)
-        distinguished = eps if middle[0] != target else None
-        return SliceResult(out, (fragments[0], fragments[1], fragments[2]), distinguished)
+        out, cycles, distinguished = _slice(self._rows, eps)
+        return SliceResult(_plane(out), cycles, distinguished)
 
     def glue(self, x1: int, x2: int, x3: int) -> tuple["PlanePermutation", int]:
         """Merge three cycles into one by a single transpose.
@@ -308,27 +274,8 @@ class PlanePermutation:
         Returns the merged plane permutation together with the label
         whose slice undoes the merge.
         """
-        pos = self._pos
-        for x in (x1, x2, x3):
-            if x not in pos:
-                raise ValueError(f"{x} is not a label of this plane permutation")
-        c1, c2, c3 = (self._cycle_at[x] for x in (x1, x2, x3))
-        if len({c1[0], c2[0], c3[0]}) != 3:
-            raise ValueError("glue needs three distinct cycles")
-        if not pos[x1] < pos[x2] < pos[x3]:
-            raise ValueError("glue anchors must be increasing in the top-row order")
-        if x1 != c1[0] or x2 != c2[0]:
-            raise ValueError("first two glue anchors must be their cycles' minima")
-        if pos[c3[0]] < pos[x2]:
-            raise ValueError("third cycle must lie after the second anchor")
-        if x3 != c3[0] and pos[c3[c3.index(x3) - 1]] < pos[x3]:
-            raise ValueError(
-                f"{x3} is neither its cycle's minimum nor the image of an anti-exceedance"
-            )
-        move = BlockInterchange(pos[x1] + 1, pos[x2], pos[x2] + 1, pos[x3])
-        merged = self.apply(move)
-        cycle = merged._cycle_at[x3]
-        return merged, cycle[cycle.index(x3) - 1]
+        merged, eps = _glue(self._rows, x1, x2, x3)
+        return _plane(merged), eps
 
     # -- rendering ------------------------------------------------------
 
@@ -419,6 +366,74 @@ def _classify_points(at: Mapping[int, tuple[int, ...]], pts) -> TransposeCase:
         if order == (z, x, y):
             return TransposeCase.CASE_D
     return TransposeCase.NON_INCREASING
+
+
+class _Rows(NamedTuple):
+    """A plane keyed by its own labels: top row, positions, bottom map, and
+    each label's cycle walked from its top-row minimum (see :func:`_cycle_map`)."""
+
+    s: tuple[int, ...]
+    pos: dict[int, int]
+    pi: dict[int, int]
+    at: dict[int, tuple[int, ...]]
+
+
+def _rows_of(s: tuple[int, ...], pi: dict[int, int]) -> _Rows:
+    return _Rows(s, {x: t for t, x in enumerate(s)}, pi, _cycle_map(s, pi.__getitem__))
+
+
+def _plane(rows: _Rows) -> PlanePermutation:
+    return PlanePermutation(rows.s, Permutation.from_mapping(rows.pi))
+
+
+def _transpose(p: _Rows, move: BlockInterchange) -> _Rows:
+    """``move`` applied with the diagonal kept, as :meth:`PlanePermutation.apply` does."""
+    pi = {**p.pi, **_patch(_move_points(p.s, move), p.pi.__getitem__)}
+    return _rows_of(swap_blocks(p.s, move), pi)
+
+
+def _slice(p: _Rows, eps: int) -> tuple[_Rows, tuple[tuple[int, ...], ...], int | None]:
+    """:meth:`PlanePermutation.slice` on rows, returning rows for its plane."""
+    pos = p.pos
+    if eps not in pos:
+        raise ValueError(f"{eps} is not a label of this plane permutation")
+    target = p.pi[eps]
+    if pos[eps] < pos[target]:
+        raise ValueError(f"{eps} is an exceedance, not an anti-exceedance")
+    cycle = p.at[eps]
+    if target == cycle[0]:
+        raise ValueError(f"{eps} is the trivial anti-exceedance of its cycle")
+    walked = cycle[1 : cycle.index(eps) + 1]
+    split_end = min((z for z in walked if pos[z] > pos[target]), key=pos.__getitem__)
+    move = BlockInterchange(pos[cycle[0]] + 1, pos[target], pos[target] + 1, pos[split_end])
+    q = _transpose(p, move)
+    fragments = sorted((q.at[x] for x in (cycle[0], target, split_end)), key=lambda c: q.pos[c[0]])
+    middle = next(c for c in fragments if target in c)
+    return q, tuple(fragments), eps if middle[0] != target else None
+
+
+def _glue(p: _Rows, x1: int, x2: int, x3: int) -> tuple[_Rows, int]:
+    """:meth:`PlanePermutation.glue` on rows, returning rows for its plane."""
+    pos = p.pos
+    for x in (x1, x2, x3):
+        if x not in pos:
+            raise ValueError(f"{x} is not a label of this plane permutation")
+    c1, c2, c3 = (p.at[x] for x in (x1, x2, x3))
+    if len({c1[0], c2[0], c3[0]}) != 3:
+        raise ValueError("glue needs three distinct cycles")
+    if not pos[x1] < pos[x2] < pos[x3]:
+        raise ValueError("glue anchors must be increasing in the top-row order")
+    if x1 != c1[0] or x2 != c2[0]:
+        raise ValueError("first two glue anchors must be their cycles' minima")
+    if pos[c3[0]] < pos[x2]:
+        raise ValueError("third cycle must lie after the second anchor")
+    if x3 != c3[0] and pos[c3[c3.index(x3) - 1]] < pos[x3]:
+        raise ValueError(
+            f"{x3} is neither its cycle's minimum nor the image of an anti-exceedance"
+        )
+    merged = _transpose(p, BlockInterchange(pos[x1] + 1, pos[x2], pos[x2] + 1, pos[x3]))
+    cycle = merged.at[x3]
+    return merged, cycle[cycle.index(x3) - 1]
 
 
 # -- exhaustive and randomized invariant sweeps --------------------------

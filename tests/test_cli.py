@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import planeperm.cli as cli
 from planeperm.cli import main
+from planeperm.distances import DEFAULT_BFS_CAP
 from planeperm.report import VerifyReport
 
 
@@ -53,6 +54,15 @@ def test_distance_cap_propagates():
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == "error: BFS under transpositions exceeded cap of 5 states\n"
+
+
+def test_distance_cap_needs_oracle():
+    for cap in ("5", str(DEFAULT_BFS_CAP)):
+        result = run("distance", "bid", "2 1 3", "--cap", cap)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--cap applies with --oracle only" in result.stderr
+    assert run("distance", "bid", "2 1 3", "--cap", "5", "--oracle").exit_code == 0
 
 
 def test_distance_rev_lb_needs_sentinel():

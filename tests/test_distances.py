@@ -134,13 +134,13 @@ def reference_find_2_reversal(a):
     if most_negative > 0:
         return None
     p = signed_plane(a)
-    i = p.position(most_negative)
+    i = p.s.index(most_negative)
     if most_negative == -n:
         if not p.pi.same_cycle(n, a[-1]):
             return None
         move = Reversal(i, n)
     else:
-        j = 2 * n - p.position(most_negative - 1)
+        j = 2 * n - p.s.index(most_negative - 1)
         move = Reversal(i, j) if i - 1 < j else Reversal(j + 1, i - 1)
     case = p.classify(move.as_block_interchange(n))
     if case.cycle_delta != 2:

@@ -38,7 +38,7 @@ from planeperm.enumeration import (
 )
 from planeperm.partitions import Partition, binomial, partitions_of, q_lambda, stirling_first
 from planeperm.perm import Permutation
-from planeperm.plane import PlanePermutation, SliceResult
+from planeperm.plane import PlanePermutation, _rows_of
 from planeperm.report import EnumerationLimitError
 
 P = Partition.of
@@ -278,14 +278,18 @@ def test_bijection_one_diagonal_beyond_the_suite_gate():
 FULL_CYCLE_5 = Permutation.from_cycle_type(P([5]))
 
 
+def rotated(glue):
+    """The glue kernel with its merged row rotated one place."""
+
+    def rotated_glue(p, *anchors):
+        merged, eps = glue(p, *anchors)
+        return _rows_of(merged.s[1:] + merged.s[:1], merged.pi), eps
+
+    return rotated_glue
+
+
 def test_bijection_reports_broken_round_trips(monkeypatch):
-    glue = PlanePermutation.glue
-
-    def rotated_glue(self, *anchors):
-        merged, eps = glue(self, *anchors)
-        return merged.rotate(1), eps
-
-    monkeypatch.setattr(PlanePermutation, "glue", rotated_glue)
+    monkeypatch.setattr(enumeration, "_glue", rotated(enumeration._glue))
     rep = verify_bijection(FULL_CYCLE_5)
     assert (rep.checked, rep.failure_count) == (106, 52)
     assert any("slice/glue round trip" in m for m in rep.failures)
@@ -293,13 +297,13 @@ def test_bijection_reports_broken_round_trips(monkeypatch):
 
 
 def test_bijection_reports_lost_marks(monkeypatch):
-    cut = PlanePermutation.slice
+    cut = enumeration._slice
 
-    def unmarked_slice(self, eps):
-        res = cut(self, eps)
-        return SliceResult(res.plane, res.cycles, None)
+    def unmarked_slice(p, eps):
+        out, cycles, _ = cut(p, eps)
+        return out, cycles, None
 
-    monkeypatch.setattr(PlanePermutation, "slice", unmarked_slice)
+    monkeypatch.setattr(enumeration, "_slice", unmarked_slice)
     rep = verify_bijection(FULL_CYCLE_5)
     assert (rep.checked, rep.failure_count) == (105, 3)
     assert any(m.startswith("slice collision") for m in rep.failures)
@@ -307,6 +311,38 @@ def test_bijection_reports_lost_marks(monkeypatch):
         m.startswith(("census key never produced by a slice", "slice key missing from the census"))
         for m in rep.failures
     )
+
+
+# The diagonal (1 3 2)(4 5) on sparse and negative labels; no label is 1.
+RELABELLED = Permutation.from_cycles([(-7, 30, 2), (11, 4)])
+
+
+def test_bijection_keeps_the_diagonal_labels():
+    plain = verify_bijection(Permutation.from_cycles([(1, 3, 2), (4, 5)]))
+    rep = verify_bijection(RELABELLED)
+    assert (rep.passed, rep.checked, rep.info) == (plain.passed, plain.checked, plain.info)
+    assert rep.checked == 97
+    assert rep.info == {"planes": 24, "y1": 24, "y2": 24, "y3": 0}
+
+
+def test_bijection_failure_names_the_diagonal_labels(monkeypatch):
+    monkeypatch.setattr(enumeration, "_glue", rotated(enumeration._glue))
+    rep = verify_bijection(RELABELLED)
+    assert (rep.checked, rep.failure_count) == (97, 48)
+    assert rep.failures[0] == (
+        "slice/glue round trip broke at ((-7, 4, 11, 30, 2), (-7, 30, 2), None)"
+    )
+    assert rep.failures[-1] == (
+        "glue/slice round trip broke at ((-7, 30, 11, 4, 2), (30, 11, 2), None)"
+    )
+
+
+def test_bijection_builds_no_plane_objects(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"verify_bijection built the plane {self.s}")
+
+    monkeypatch.setattr(PlanePermutation, "__post_init__", refuse)
+    assert suite_bijection(4).passed
 
 
 def test_bijection_census_matches_closed_forms():

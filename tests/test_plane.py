@@ -14,6 +14,7 @@ from planeperm.perm import Permutation
 from planeperm.plane import (
     BlockInterchange,
     PlanePermutation,
+    SliceResult,
     TransposeCase,
     invariant_sweep,
     swap_blocks,
@@ -51,6 +52,86 @@ def walk(p, x):
     return tuple(cycle)
 
 
+def s_min(p, labels):
+    """The earliest of ``labels`` in the top row of ``p``."""
+    return min(labels, key=p.s.index)
+
+
+def cycle_at(p):
+    """Each label's ``pi``-cycle, walked from its top-row minimum."""
+    return {x: walk(p, s_min(p, walk(p, x))) for x in p.s}
+
+
+def reference_slice(p, eps):
+    """:meth:`PlanePermutation.slice` on the object API alone, as its reference."""
+    pos = {x: t for t, x in enumerate(p.s)}
+    if eps not in pos:
+        raise ValueError(f"{eps} is not a label of this plane permutation")
+    target = p.pi(eps)
+    if pos[eps] < pos[target]:
+        raise ValueError(f"{eps} is an exceedance, not an anti-exceedance")
+    cycle = cycle_at(p)[eps]
+    if target == cycle[0]:
+        raise ValueError(f"{eps} is the trivial anti-exceedance of its cycle")
+    walked = cycle[1 : cycle.index(eps) + 1]
+    split_end = s_min(p, [z for z in walked if pos[z] > pos[target]])
+    move = BlockInterchange(
+        pos[cycle[0]] + 1, pos[target], pos[target] + 1, pos[split_end]
+    )
+    out = p.apply(move)
+    out_at = cycle_at(out)
+    fragments = sorted(
+        (out_at[x] for x in (cycle[0], target, split_end)),
+        key=lambda c: out.s.index(c[0]),
+    )
+    middle = next(c for c in fragments if target in c)
+    distinguished = eps if middle[0] != target else None
+    return SliceResult(out, (fragments[0], fragments[1], fragments[2]), distinguished)
+
+
+def reference_glue(p, x1, x2, x3):
+    """:meth:`PlanePermutation.glue` on the object API alone, as its reference."""
+    pos = {x: t for t, x in enumerate(p.s)}
+    for x in (x1, x2, x3):
+        if x not in pos:
+            raise ValueError(f"{x} is not a label of this plane permutation")
+    at = cycle_at(p)
+    c1, c2, c3 = (at[x] for x in (x1, x2, x3))
+    if len({c1[0], c2[0], c3[0]}) != 3:
+        raise ValueError("glue needs three distinct cycles")
+    if not pos[x1] < pos[x2] < pos[x3]:
+        raise ValueError("glue anchors must be increasing in the top-row order")
+    if x1 != c1[0] or x2 != c2[0]:
+        raise ValueError("first two glue anchors must be their cycles' minima")
+    if pos[c3[0]] < pos[x2]:
+        raise ValueError("third cycle must lie after the second anchor")
+    if x3 != c3[0] and pos[c3[c3.index(x3) - 1]] < pos[x3]:
+        raise ValueError(
+            f"{x3} is neither its cycle's minimum nor the image of an anti-exceedance"
+        )
+    move = BlockInterchange(pos[x1] + 1, pos[x2], pos[x2] + 1, pos[x3])
+    merged = p.apply(move)
+    cycle = cycle_at(merged)[x3]
+    return merged, cycle[cycle.index(x3) - 1]
+
+
+def census_anchors(p):
+    """Glue anchors of every marked trio of ``p``: three cycles, and either
+    the last one's minimum or the image of a non-trivial anti-exceedance in it."""
+    ntaes = p.ntaes()
+    for trio in itertools.combinations(p.cycles_by_position(), 3):
+        x1, x2, x3 = (c[0] for c in trio)
+        yield x1, x2, x3
+        yield from ((x1, x2, p.pi(eps)) for eps in trio[2] if eps in ntaes)
+
+
+def refusal(call):
+    """The text of the ``ValueError`` that ``call`` raises."""
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
 def all_moves(n):
     for i in range(1, n):
         for j in range(i, n):
@@ -81,7 +162,7 @@ def test_fixture_exceedances():
 def test_fixture_cycles_by_position():
     p = fixture()
     assert p.cycles_by_position() == ((3, 8, 4, 5, 6, 1), (7, 2))
-    assert p.s_min((2, 7)) == 7
+    assert s_min(p, (2, 7)) == 7
     assert walk(p, 4) == (4, 5, 6, 1, 3, 8)
 
 
@@ -144,6 +225,15 @@ def test_fixture_glue_rejects_bad_anchors():
         q.glue(3, 8, 2)  # 2 is neither a minimum nor an image of an NTAE
     with pytest.raises(ValueError):
         q.glue(8, 4, 6)  # 6's cycle starts before the second anchor
+
+
+def test_fixture_refusals_match_the_reference():
+    p = fixture()
+    for eps in (3, 1, 9):
+        assert refusal(lambda: p.slice(eps)) == refusal(lambda: reference_slice(p, eps))
+    q = p.slice(8).plane
+    for anchors in ((3, 4, 8), (5, 8, 4), (3, 8, 2), (8, 4, 6)):
+        assert refusal(lambda: q.glue(*anchors)) == refusal(lambda: reference_glue(q, *anchors))
 
 
 # -- constructors and rendering ------------------------------------------
@@ -222,6 +312,19 @@ def test_slice_glue_roundtrip_exhaustive():
                 assert (back, recovered) == (p, eps)
 
 
+def test_slice_and_glue_match_the_reference_exhaustive():
+    slices = glues = 0
+    for n in range(1, 6):
+        for p in all_planes(n):
+            for eps in p.ntaes():
+                assert p.slice(eps) == reference_slice(p, eps)
+                slices += 1
+            for anchors in census_anchors(p):
+                assert p.glue(*anchors) == reference_glue(p, *anchors)
+                glues += 1
+    assert (slices, glues) == (2126, 2126)
+
+
 def test_classify_matches_observed_cycle_delta():
     for n in (3, 4):
         for p in all_planes(n):
@@ -242,7 +345,7 @@ def test_case2_fragments_stay_above_earlier_minima():
     checked = 0
     for n in (4, 5):
         for p in all_planes(n):
-            cut = {frozenset(c): p.position(c[0]) for c in p.cycles_by_position()}
+            cut = {frozenset(c): p.s.index(c[0]) for c in p.cycles_by_position()}
             for move in transposes(n):
                 if p.classify(move) is not TransposeCase.CASE_2:
                     continue
@@ -252,11 +355,11 @@ def test_case2_fragments_stay_above_earlier_minima():
                     c for c in q.cycles_by_position() if set(c) <= split
                 ]
                 assert len(fragments) == 3
-                frag_pos = min(q.position(c[0]) for c in fragments)
+                frag_pos = min(q.s.index(c[0]) for c in fragments)
                 for cyc, pos in cut.items():
                     if cyc == split or pos >= cut[split]:
                         continue
-                    assert q.position(q.s_min(cyc)) < frag_pos
+                    assert q.s.index(s_min(q, cyc)) < frag_pos
                     checked += 1
     assert checked > 100
 
@@ -270,6 +373,15 @@ def planes(draw, max_n=8):
     top = tuple(draw(st.permutations(range(1, n + 1))))
     images = tuple(draw(st.permutations(range(1, n + 1))))
     return PlanePermutation(top, Permutation.from_one_line(images))
+
+
+@st.composite
+def labelled_planes(draw, max_n=8):
+    """Planes on sparse and negative labels, anchored at any of them."""
+    labels = draw(st.lists(st.integers(-40, 40), min_size=2, max_size=max_n, unique=True))
+    top = tuple(draw(st.permutations(labels)))
+    bottom = tuple(draw(st.permutations(labels)))
+    return PlanePermutation.from_rows(top, bottom)
 
 
 @given(planes())
@@ -315,6 +427,32 @@ def test_random_slice_glue_roundtrip(p, data):
     res = p.slice(eps)
     back, recovered = res.plane.glue(*res.glue_anchors())
     assert (back, recovered) == (p, eps)
+
+
+@given(labelled_planes(), st.data())
+@settings(max_examples=80)
+def test_slice_glue_on_arbitrary_labels(p, data):
+    ntaes = p.ntaes()
+    if not ntaes:
+        return
+    eps = data.draw(st.sampled_from(ntaes))
+    res = p.slice(eps)
+    assert res == reference_slice(p, eps)
+    back, recovered = res.plane.glue(*res.glue_anchors())
+    assert (back, recovered) == (p, eps)
+    assert reference_glue(res.plane, *res.glue_anchors()) == (p, eps)
+
+
+@given(labelled_planes(), st.data())
+@settings(max_examples=80)
+def test_glue_on_arbitrary_labels_matches_the_reference(p, data):
+    census = list(census_anchors(p))
+    if not census:
+        return
+    anchors = data.draw(st.sampled_from(census))
+    merged, eps = p.glue(*anchors)
+    assert (merged, eps) == reference_glue(p, *anchors)
+    assert merged.slice(eps).plane == p
 
 
 @pytest.mark.parametrize(
