@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .enumeration import xi
 from .partitions import exact_div
-from .perm import Permutation, array_cycle_counts, count_cycles, parse_sequence
+from .perm import Permutation, _cycle_map, array_cycle_counts, count_cycles, parse_sequence
 from .plane import BlockInterchange, TransposeCase, _case, _row_tables, swap_blocks
 from .report import VerifyReport, merge_reports, size_gate, summed
 
@@ -256,10 +256,7 @@ def _signed_vertical(a: Sequence[int]) -> tuple[list[int], list[int]]:
 def _meets_middle(images: Sequence[int], packed: Sequence[int]) -> bool:
     # Whether n and the middle entry of the double cover share a vertical cycle.
     n = len(packed) // 2
-    middle, y = packed[n], images[n]
-    while y != n and y != middle:
-        y = images[y]
-    return y == middle
+    return packed[n] in _cycle_map((n,), images.__getitem__)[n]
 
 
 def rev_lower_bound(a: Sequence[int]) -> int:
@@ -298,13 +295,12 @@ def breakpoint_bound(a: Sequence[int]) -> int:
 
 def find_2_reversal(a: Sequence[int]) -> Reversal | None:
     """A reversal raising the vertical cycle count of the plane of
-    ``skew_seq(a)`` by two, if the standard construction yields one.
+    ``skew_seq(a)`` by two; None exactly when every entry of ``a`` is positive.
 
     Looks at the most negative entry m of ``a``.  If m > −n, the entry m−1
     sits in the second half of the row and pins down a reversal directly; if
-    m = −n, the reversal over the half-row works exactly when n and the last
-    entry of ``a`` share a vertical cycle.  Returns None otherwise (in
-    particular for all-positive rows, which admit no two-step reversal).
+    m = −n, the reversal over the half-row works, since n and the last entry
+    of ``a`` always share a vertical cycle.  All-positive rows admit none.
     """
     return _find_2_reversal(check_signed(a))
 
@@ -318,8 +314,10 @@ def _find_2_reversal(a: tuple[int, ...]) -> Reversal | None:
     pos, _ = _row_tables(packed)
     i = pos[n - most_negative]
     if most_negative == -n:
-        if not _meets_middle(images, packed):
-            return None
+        # a_n is on n's cycle.  Negation N inverts the diagonal D and the row
+        # cycle s, so σ = N∘D and τ = N∘s are involutions, fixing only n and
+        # a_n, with π = σ∘τ.  Both reflect n's π-cycle: σ fixes one point of
+        # it, so it is odd, and then τ fixes one too, which must be a_n.
         move = Reversal(i, n)
     else:
         j = 2 * n - pos[n + 1 - most_negative]
@@ -347,8 +345,8 @@ def greedy_reversal_sort(a: Sequence[int]) -> GreedySortResult:
     """Repeatedly apply :func:`find_2_reversal` until sorted or stuck.
 
     When this reaches the identity, the scenario has length exactly
-    ``rev_lower_bound(a)`` and the bound is tight.  No fallback search is
-    attempted when the construction yields nothing.  Only the input is
+    ``rev_lower_bound(a)`` and the bound is tight.  It stops unsorted exactly
+    on an all-positive row, with no fallback search.  Only the input is
     validated: each later row is a reversal of a valid one.
     """
     a = check_signed(a)
@@ -378,11 +376,9 @@ def conjecture_scan(n: int, which: str) -> VerifyReport:
     rows with a negative entry whose vertical pairs some first-half entry with
     its mirror, ``"same-cycle-all"`` scans every signed permutation.  In both
     populations the check is that n and the middle entry of the double cover
-    lie in one vertical cycle.  Counterexamples are collected, never raised;
-    none are known.
+    lie in one vertical cycle.  The property is proved (see
+    :func:`_find_2_reversal`); the scans check it exhaustively, never raising.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
     size_gate("conjecture scan", n, 7)
     if which not in ("same-cycle-exact", "same-cycle-all"):
         raise ValueError(f"unknown conjecture scan {which!r}")
@@ -587,7 +583,7 @@ def suite_bid_oracle(n: int) -> VerifyReport:
 
 
 def check_td_bound_at(n: int) -> VerifyReport:
-    """td_lower_bound with default γ never exceeds the BFS transposition distance."""
+    """td_lower_bound never exceeds the BFS transposition distance."""
     report = VerifyReport(f"td-bound-n{n}")
     oracle = bfs_distances(sorted_sequence(n), "transpositions")
     tight = 0

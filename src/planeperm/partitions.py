@@ -132,21 +132,6 @@ def partitions_of(n: int) -> Iterator[Partition]:
         yield Partition(parts)
 
 
-def partitions_into(n: int, pieces: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``n`` with exactly ``pieces`` positive parts."""
-    if pieces < 0:
-        raise ValueError("pieces must be non-negative")
-    if pieces == 0:
-        if n == 0:
-            yield ()
-        return
-    # largest part first, and at least 1 per remaining piece
-    for first in range(n - pieces + 1, 0, -1):
-        for rest in partitions_into(n - first, pieces - 1):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
-
-
 def q_lambda(lam: Partition) -> int:
     """Number of permutations of ``lam.n`` symbols whose cycle type is ``lam``.
 
@@ -172,12 +157,11 @@ def splits(eta: Partition, pieces: int) -> tuple[Partition, ...]:
         raise ValueError("pieces must be positive")
     seen: set[Partition] = set()
     for value in sorted(set(eta.parts)):
-        if value < pieces:
-            continue
         rest = list(eta.parts)
         rest.remove(value)
-        for frag in partitions_into(value, pieces):
-            seen.add(Partition.of(rest + list(frag)))
+        for frag in _partition_tuples(value, value):
+            if len(frag) == pieces:
+                seen.add(Partition.of(rest + list(frag)))
     return tuple(sorted(seen, key=lambda p: p.parts, reverse=True))
 
 

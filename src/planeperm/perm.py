@@ -178,12 +178,7 @@ class Permutation:
 
     def same_cycle(self, x: int, y: int) -> bool:
         """Whether ``x`` and ``y`` lie in one cycle."""
-        z = self(x)
-        while z != x:
-            if z == y:
-                return True
-            z = self(z)
-        return x == y
+        return y in _cycle_map((x,), self)[x]
 
     def __str__(self) -> str:
         return str(self.cycles())

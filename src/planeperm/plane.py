@@ -235,17 +235,16 @@ class PlanePermutation:
     def apply(self, move: BlockInterchange) -> "PlanePermutation":
         """Apply a block interchange to the top row, keeping the diagonal.
 
-        Only the labels just before each moved block and at the end of
-        each block change their image under ``pi``; everything else is
-        untouched.
+        Only the labels just before each moved block and at the end of each
+        block change their image under ``pi``.
         """
         move.validate(len(self.s))
-        patch = _patch(_move_points(self.s, move), self.pi)
-        return PlanePermutation(swap_blocks(self.s, move), self.pi.updated(patch))
+        return _plane(_transpose(self._rows, move))
 
     def classify(self, move: BlockInterchange) -> TransposeCase:
         """Which of the cycle-change cases ``move`` falls into."""
-        return _case(self.s, self.pi, move)
+        move.validate(len(self.s))
+        return _classify_points(self._rows.at, _move_points(self.s, move))
 
     # -- slice and glue -------------------------------------------------
 
@@ -387,7 +386,7 @@ def _plane(rows: _Rows) -> PlanePermutation:
 
 
 def _transpose(p: _Rows, move: BlockInterchange) -> _Rows:
-    """``move`` applied with the diagonal kept, as :meth:`PlanePermutation.apply` does."""
+    """:meth:`PlanePermutation.apply` on rows: ``move`` with the diagonal kept."""
     pi = {**p.pi, **_patch(_move_points(p.s, move), p.pi.__getitem__)}
     return _rows_of(swap_blocks(p.s, move), pi)
 

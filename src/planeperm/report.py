@@ -74,11 +74,13 @@ class VerifyReport:
 
 
 def size_gate(what: str, n: int, gate: int) -> None:
-    """Refuse a size above ``gate`` before any work starts.
+    """Refuse a size below 1 or above ``gate`` before any work starts.
 
-    A suite runs every one of its parts at every size up to ``n``; where it
-    cannot, it refuses ``n`` here rather than quietly checking less.
+    A suite runs every one of its parts at every size from 1 up to ``n``;
+    where it cannot, it refuses ``n`` here rather than quietly checking less.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if n > gate:
         raise EnumerationLimitError(f"{what} capped at n={gate} (asked {n})")
 

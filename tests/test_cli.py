@@ -350,6 +350,15 @@ def test_verify_n_below_one_is_a_usage_error():
         assert "Invalid value for 'N'" in result.stderr
 
 
+@pytest.mark.parametrize("suite", tuple(cli.SUITE_RUNNERS))
+def test_suites_refuse_n_below_one_in_the_library(suite):
+    # called directly, with no IntRange in front, a suite must not pass vacuously
+    settings = cli.Settings(fmt="text", jobs=1, out=None)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=rf"^n must be at least 1, got {n}$"):
+            cli.SUITE_RUNNERS[suite](n, settings)
+
+
 def test_verify_checking_nothing_is_a_usage_error():
     for suite, n in (
         ("f-recurrence", "1"),

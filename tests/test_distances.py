@@ -342,6 +342,36 @@ def test_find_2_reversal_matches_the_object_reference():
     assert checked == 4282
 
 
+def test_n_and_the_last_entry_share_an_odd_vertical_cycle():
+    # the same-cycle property, so the m = −n branch of the construction always
+    # yields a move, and find_2_reversal fails exactly on all-positive rows
+    checked = 0
+    for n in range(1, 6):
+        for a in all_signed(n):
+            pi = signed_plane(a).pi
+            cycle = [n]
+            while (y := pi(cycle[-1])) != n:
+                cycle.append(y)
+            assert a[-1] in cycle, a
+            assert len(cycle) % 2 == 1, a
+            assert (find_2_reversal(a) is None) == (min(a) > 0), a
+            checked += 1
+    assert checked == 4282
+
+
+def test_greedy_sort_stops_only_on_all_positive_rows():
+    rng = random.Random(23)
+    stuck = 0
+    for n in (10, 30, 100):
+        for _ in range(20):
+            a = tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), n))
+            res = greedy_reversal_sort(a)
+            if not res.sorted:
+                assert min(res.final) > 0, a
+                stuck += 1
+    assert stuck > 0
+
+
 def test_greedy_sort_matches_the_reference_sort():
     for n in range(1, 6):
         for a in all_signed(n):

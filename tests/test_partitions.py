@@ -11,7 +11,6 @@ from planeperm.partitions import (
     exact_div,
     kappa,
     partitions_of,
-    partitions_into,
     q_lambda,
     splits,
     stirling_first,
@@ -83,12 +82,6 @@ def test_partitions_of_weights_and_order():
     assert len(set(seen)) == len(seen)
 
 
-def test_partitions_into():
-    assert list(partitions_into(5, 2)) == [(4, 1), (3, 2)]
-    assert list(partitions_into(3, 4)) == []
-    assert list(partitions_into(0, 0)) == [()]
-
-
 def test_q_lambda_sums_to_factorial():
     for n in range(1, 8):
         assert sum(q_lambda(p) for p in partitions_of(n)) == math.factorial(n)
@@ -105,6 +98,25 @@ def test_splits_examples():
     assert splits(Partition.of([2, 2]), 3) == ()
     got = {p.parts for p in splits(Partition.of([5]), 3)}
     assert got == {(3, 1, 1), (2, 2, 1)}
+
+
+def test_splits_are_the_partitions_that_merge_back():
+    """``splits`` against ``kappa``, an independent reference: mu comes from
+    eta by splitting one part into ``pieces`` parts exactly when mu has
+    ``pieces - 1`` more parts than eta and some merge of mu gives eta."""
+    cases = 0
+    for n in range(1, 9):
+        shapes = list(partitions_of(n))
+        for eta in shapes:
+            for pieces in range(1, n + 1):
+                want = {
+                    mu
+                    for mu in shapes
+                    if len(mu) == len(eta) + pieces - 1 and kappa(mu, eta) > 0
+                }
+                assert set(splits(eta, pieces)) == want, (eta, pieces)
+                cases += 1
+    assert cases == 416
 
 
 def test_kappa_merge_counts():
