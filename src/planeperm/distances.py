@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .enumeration import xi
@@ -444,12 +445,27 @@ GENERATORS: dict[str, Callable[[tuple[int, ...]], Iterator[tuple[int, ...]]]] = 
 }
 
 
+@lru_cache(maxsize=None)
+def _gathers(kind: str, n: int) -> tuple[itemgetter, ...]:
+    # Each move rearranges entries (a reversal also negates some), so one run
+    # on (1, ..., n) reads where they come from: v from index v - 1, -v from
+    # index n + v - 1 of the state followed by its negation.  One entry
+    # gathers by slice, as itemgetter of one index returns a scalar.
+    gathers = []
+    for image in GENERATORS[kind](tuple(range(1, n + 1))):
+        index = [v - 1 if v > 0 else n - v - 1 for v in image]
+        gathers.append(itemgetter(*index) if n > 1 else itemgetter(slice(index[0], None)))
+    return tuple(gathers)
+
+
 def _bfs(
     start: tuple[int, ...], kind: str, cap: int, goal: tuple[int, ...] | None = None
 ) -> dict[tuple[int, ...], int]:
     """Distances of the states reached from ``start``; a search for ``goal``
-    stops the moment it finds it, before the state cap is consulted."""
-    neighbors = GENERATORS[kind]
+    stops the moment it finds it, before the state cap is consulted.  Each
+    neighbour is one index gather read off ``GENERATORS[kind]``, in its order."""
+    gathers = _gathers(kind, len(start))
+    signed = kind == "reversals"
     dist = {start: 0}
     frontier = [start]
     depth = 0
@@ -457,7 +473,10 @@ def _bfs(
         depth += 1
         nxt = []
         for state in frontier:
-            for nb in neighbors(state):
+            if signed:
+                state = (*state, *map(neg, state))
+            for gather in gathers:
+                nb = gather(state)
                 if nb not in dist:
                     if nb == goal:
                         dist[nb] = depth

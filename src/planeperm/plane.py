@@ -382,7 +382,9 @@ def _rows_of(s: tuple[int, ...], pi: dict[int, int]) -> _Rows:
 
 
 def _plane(rows: _Rows) -> PlanePermutation:
-    return PlanePermutation(rows.s, Permutation.from_mapping(rows.pi))
+    plane = PlanePermutation(rows.s, Permutation.from_mapping(rows.pi))
+    plane.__dict__["_rows"] = rows  # seeds the cached property
+    return plane
 
 
 def _transpose(p: _Rows, move: BlockInterchange) -> _Rows:

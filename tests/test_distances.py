@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from planeperm import distances
 from planeperm.distances import (
+    DEFAULT_BFS_CAP,
     GENERATORS,
     SORTED_CASES,
     Reversal,
     SearchCapExceeded,
+    _bfs,
+    _gathers,
     _signed_vertical,
     all_signed,
     apply_reversal,
@@ -584,6 +587,89 @@ def test_bfs_distance_matches_the_full_search(kind, states):
         assert len(table) == len(states)
         for goal in states:
             assert bfs_distance(start, goal, kind) == table[goal]
+
+
+def reference_bfs(start, kind, cap, goal=None):
+    """:func:`distances._bfs` with each neighbour built by ``GENERATORS``:
+    the same visit order, goal check and cap check, as its reference."""
+    neighbors = GENERATORS[kind]
+    dist = {start: 0}
+    frontier = [start]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for state in frontier:
+            for nb in neighbors(state):
+                if nb not in dist:
+                    if nb == goal:
+                        dist[nb] = depth
+                        return dist
+                    if len(dist) >= cap:
+                        raise SearchCapExceeded(
+                            f"BFS under {kind} exceeded cap of {cap} states"
+                        )
+                    dist[nb] = depth
+                    nxt.append(nb)
+        frontier = nxt
+    return dist
+
+
+def states_of(kind, n):
+    if kind == "reversals":
+        return list(all_signed(n))
+    return list(itertools.permutations(range(1, n + 1)))
+
+
+def search_outcome(search, *args):
+    try:
+        return list(search(*args).items())
+    except SearchCapExceeded as err:
+        return str(err)
+
+
+@pytest.mark.parametrize(
+    "kind, small, oracle_n",
+    [("transpositions", 4, 7), ("block_interchanges", 4, 6), ("reversals", 3, 5)],
+)
+def test_gathered_bfs_matches_the_reference(kind, small, oracle_n):
+    """Every start up to ``small``, and the sorted start at the size the
+    oracle benchmark searches."""
+    starts = [s for n in range(1, small + 1) for s in states_of(kind, n)]
+    for start in starts + [sorted_sequence(oracle_n)]:
+        got = list(_bfs(start, kind, DEFAULT_BFS_CAP).items())
+        assert got == list(reference_bfs(start, kind, DEFAULT_BFS_CAP).items())
+
+
+@pytest.mark.parametrize(
+    "kind, start, goal",
+    [
+        ("transpositions", (4, 3, 2, 1), (1, 2, 3, 4)),
+        ("transpositions", (2, 1, 4, 3), (1, 2, 3, 4)),
+        ("transpositions", (1, 2, 3, 4), None),
+        ("block_interchanges", (4, 3, 2, 1), (1, 2, 3, 4)),
+        ("block_interchanges", (3, 1, 4, 2), (2, 4, 1, 3)),
+        ("block_interchanges", (1, 2, 3, 4), None),
+        ("reversals", (-3, -2, -1), (1, 2, 3)),
+        ("reversals", (2, -3, 1), (-1, 3, -2)),
+        ("reversals", (1, 2, 3), None),
+    ],
+)
+def test_gathered_bfs_keeps_the_cap_semantics(kind, start, goal):
+    n_states = len(states_of(kind, len(start)))
+    for cap in range(1, n_states + 1):
+        got = search_outcome(_bfs, start, kind, cap, goal)
+        assert got == search_outcome(reference_bfs, start, kind, cap, goal)
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_gathers_match_their_generators(kind):
+    for n in range(1, 5 if kind == "reversals" else 6):
+        gathers = _gathers(kind, n)
+        for state in states_of(kind, n):
+            source = (*state, *(-v for v in state)) if kind == "reversals" else state
+            got = [gather(source) for gather in gathers]
+            assert got == list(GENERATORS[kind](state))
 
 
 def test_bfs_distance_stops_at_the_goal():

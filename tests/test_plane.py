@@ -10,6 +10,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planeperm import plane
 from planeperm.perm import Permutation
 from planeperm.plane import (
     BlockInterchange,
@@ -202,6 +203,23 @@ def test_fixture_glue_undoes_both_slices():
         back, recovered = res.plane.glue(*res.glue_anchors())
         assert back == p
         assert recovered == eps
+
+
+def test_planes_from_moves_keep_their_rows(monkeypatch):
+    """``apply``, ``slice`` and ``glue`` hand the rows they built to the plane
+    they return, so a later ``classify`` walks no cycle map again."""
+    calls = []
+    real = plane._cycle_map
+    monkeypatch.setattr(plane, "_cycle_map", lambda *args: calls.append(1) or real(*args))
+    p = fixture()
+    move = BlockInterchange(1, 3, 4, 4)
+    q = p.apply(move)
+    q.classify(move)
+    assert len(calls) == 2
+    res = p.slice(6)
+    back, _ = res.plane.glue(*res.glue_anchors())
+    for out in (q, res.plane, back):
+        assert out._rows == PlanePermutation(out.s, out.pi)._rows
 
 
 def test_fixture_slice_rejects_bad_labels():
