@@ -519,7 +519,9 @@ def bfs_distance(
     start, goal = tuple(start), tuple(goal)
     if start == goal:
         return 0
-    dist = _bfs(start, kind, cap, goal)
+    # every family only rearranges the entries (reversals flip signs too)
+    same_entries = sorted(map(abs, start)) == sorted(map(abs, goal))
+    dist = _bfs(start, kind, cap, goal) if same_entries else {}
     if goal not in dist:
         raise ValueError(f"{goal!r} is unreachable from {start!r} under {kind}")
     return dist[goal]

@@ -159,6 +159,15 @@ def _higher_cycles(f: Callable[[int], int], n: int, k: int) -> int:
     return sum(binomial(j, k - 1) * f(j) for j in range(k + 2, n + 1, 2))
 
 
+def _split_sum(eta: Partition, f: Callable[[Partition], int]) -> int:
+    """``sum(kappa(mu, eta) * f(mu))`` over every ``mu`` that splits one part
+    of ``eta`` into 3, 5, ... parts: the split side both type recurrences
+    trade against the count at ``eta``."""
+    return sum(
+        kappa(mu, eta) * f(mu) for pieces in range(3, eta.n + 1, 2) for mu in splits(eta, pieces)
+    )
+
+
 # -- full-cycle products ------------------------------------------------
 
 
@@ -283,16 +292,8 @@ def verify_f_recurrence(n: int, eta: Partition, lam: Partition) -> VerifyReport:
     q_eta = q_lambda(eta)
     rep = VerifyReport(f"f-recurrence n={n} eta={eta} lam={lam}")
 
-    split_eta = sum(
-        kappa(mu, eta) * table_lam.f(mu)
-        for i in range(1, n // 2 + 1)
-        for mu in splits(eta, 2 * i + 1)
-    )
-    split_lam = sum(
-        kappa(mu, lam) * table_eta.f(mu)
-        for i in range(1, n // 2 + 1)
-        for mu in splits(lam, 2 * i + 1)
-    )
+    split_eta = _split_sum(eta, table_lam.f)
+    split_lam = _split_sum(lam, table_eta.f)
     lhs = table_lam.f(eta) * q_lam * (n + 1 - len(eta) - len(lam))
     rep.check(
         lhs == q_lam * split_eta + q_eta * split_lam,
@@ -333,11 +334,7 @@ def verify_cycle_recurrence(n: int, lam: Partition, k: int) -> VerifyReport:
     table = tabulate(n, lam)
     lhs = table.p_k(k) * q_lam * (n + 1 - k - len(lam))
     same_diag = q_lam * _higher_cycles(table.p_k, n, k)
-    split_diag = sum(
-        kappa(mu, lam) * tabulate(n, mu).p_k(k) * q_lambda(mu)
-        for i in range(1, n // 2 + 1)
-        for mu in splits(lam, 2 * i + 1)
-    )
+    split_diag = _split_sum(lam, lambda mu: tabulate(n, mu).p_k(k) * q_lambda(mu))
     rep = VerifyReport(f"cycle-recurrence n={n} lam={lam} k={k}")
     rep.check(
         lhs == same_diag + split_diag,
@@ -372,30 +369,19 @@ def _p1_product(n: int, lam: Partition) -> int | None:
 def _p1_alternating(n: int, lam: Partition) -> int:
     """Alternating-sum form of the single-cycle count; works for every shape.
 
-    The inner sum runs over multiplicity vectors ``r`` with
-    ``sum(j * r[j]) == i``, i.e. over partitions of ``i``; a part ``j``
-    contributes ``binomial(a_j, r_j)`` with ``a_j`` its multiplicity in
-    ``lam``, except ``j == 1`` which uses ``a_1 - 1``.  That upper argument
-    may be ``-1``, which is exactly why :func:`binomial` accepts it.
+    ``chi[r]`` is the coefficient of ``x^r`` in the polynomial
+    ``prod(1 - (-x)^part for part in lam) / (1 + x)``, which is the hook
+    character of ``(n-r, 1^r)`` at the cycle type ``lam`` (Goupil and
+    Schaeffer, Europ. J. Combin. 19, 1998); then
+    ``n * p_1 = sum(r! (n-1-r)! chi[r])``.  The quotient starts as the
+    series of ``1 / (1 + x)`` cut off after ``x^(n-1)``, and each part
+    multiplies it in place.
     """
-    mult = lam.multiplicities()
-    total = 0
-    for i in range(n):
-        inner = 0
-        for mu in partitions_of(i):
-            term = 1
-            sign = 0
-            for j, rj in mu.multiplicities().items():
-                upper = mult.get(j, 0) - (1 if j == 1 else 0)
-                term *= binomial(upper, rj)
-                if term == 0:
-                    break
-                if j % 2 == 0:
-                    sign += rj
-            else:
-                inner += -term if sign % 2 else term
-        total += factorial(i) * factorial(n - 1 - i) * inner
-    return exact_div(total, n)
+    chi = [(-1) ** r for r in range(n)]
+    for part in lam:
+        for r in range(n - 1, part - 1, -1):
+            chi[r] -= (-1) ** part * chi[r - part]
+    return exact_div(sum(factorial(r) * factorial(n - 1 - r) * c for r, c in enumerate(chi)), n)
 
 
 def p1_routes(n: int, lam: Partition) -> dict[str, int]:

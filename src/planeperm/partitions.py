@@ -9,8 +9,8 @@ equal as multisets.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator
 
 
@@ -28,21 +28,12 @@ def exact_div(a: int, b: int) -> int:
 
 
 def binomial(m: int, r: int) -> int:
-    """Binomial coefficient, defined for negative upper argument as well.
+    """Binomial coefficient for ``m >= 0``; zero for ``r < 0`` or ``r > m``.
 
-    >>> binomial(5, 2)
-    10
-    >>> binomial(-1, 3)
-    -1
+    >>> binomial(5, 2), binomial(3, 5), binomial(4, -1)
+    (10, 0, 0)
     """
-    if r < 0:
-        return 0
-    if m >= 0:
-        return math.comb(m, r)
-    num = 1
-    for t in range(r):
-        num *= m - t
-    return exact_div(num, math.factorial(r))
+    return math.comb(m, r) if r >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -172,30 +163,23 @@ def kappa(mu: Partition, eta: Partition) -> int:
     count as distinguishable copies, so choosing three of the ``a+3``
     ones in ``1^(a+3) 2^b`` contributes ``binomial(a+3, 3)`` ways.  With
     ``mu == eta`` nothing moves; that degenerate merge counts once.
+
+    The merged part is some part ``v`` of ``eta``, and the rest of ``eta``
+    is what ``mu`` keeps; so each ``v`` whose rest fits inside ``mu``
+    contributes the ways to choose the kept copies of every part.
     """
     if mu.n != eta.n:
         raise ValueError("partitions must have the same weight")
     take = len(mu) - len(eta) + 1
-    if take < 1:
-        return 0
-    if take == 1:
-        return 1 if mu == eta else 0
-    values = sorted(mu.multiplicities().items())
+    if take < 2:
+        return int(take == 1 and mu == eta)
+    have = Counter(mu.parts)
     total = 0
-    ranges = [range(min(take, count) + 1) for _, count in values]
-    for chosen in product(*ranges):
-        if sum(chosen) != take:
-            continue
-        ways = 1
-        remaining: list[int] = []
-        merged = 0
-        for (value, count), c in zip(values, chosen):
-            ways *= math.comb(count, c)
-            merged += value * c
-            remaining.extend([value] * (count - c))
-        remaining.append(merged)
-        if Partition.of(remaining) == eta:
-            total += ways
+    for v in set(eta.parts):
+        kept = Counter(eta.parts)
+        kept[v] -= 1
+        if kept <= have:
+            total += math.prod(math.comb(have[j], c) for j, c in kept.items())
     return total
 
 

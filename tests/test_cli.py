@@ -372,6 +372,24 @@ def test_verify_checking_nothing_is_a_usage_error():
         assert "checks nothing" in result.stderr
 
 
+def test_suites_called_directly_check_nothing_at_exactly_these_sizes():
+    # the library returns these reports as a PASS with checked=0; the CLI
+    # refuses the same four sizes above
+    settings = cli.Settings(fmt="text", jobs=1, out=None)
+    empty = {
+        (suite, n)
+        for suite, runner in cli.SUITE_RUNNERS.items()
+        for n in (1, 2)
+        if runner(n, settings).checked == 0
+    }
+    assert empty == {
+        ("f-recurrence", 1),
+        ("cycle-recurrence", 1),
+        ("bijection", 1),
+        ("bijection", 2),
+    }
+
+
 # -- conjecture -----------------------------------------------------------
 
 
@@ -476,4 +494,8 @@ def test_byte_comparison_list_covers_every_command():
         assert ("verify", suite) in named, suite
     for which in ("same-cycle-exact", "same-cycle-all"):
         assert ("conjecture", which) in named, which
-    assert all(a == "{out}" for c in commands for a in c if "{" in a)
+    assert all(a in ("{out}", "{in}") for c in commands for a in c if "{" in a)
+    assert {c[c.index("{in}") - 1] for c in commands if "{in}" in c} == {"--in"}
+    # the --in file keeps a blank line, a line with surrounding spaces and a CRLF line
+    lines = tool.INPUTS.read_bytes().split(b"\n")
+    assert {b"", b"  2 4 1 3  ", b"4 3 2 1\r"} <= set(lines[:-1])

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -680,6 +681,20 @@ def test_bfs_distance_stops_at_the_goal():
         bfs_distance(tuple(reversed(goal)), goal, "transpositions", cap=1000)
     with pytest.raises(ValueError, match="unreachable"):
         bfs_distance((2, 1), (1, 2, 3), "transpositions")
+
+
+def test_bfs_distance_refuses_other_entries_without_searching(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(distances, "_bfs", no_search)
+    for start, goal, kind in (
+        (tuple(range(1, 10)), (1, 2, 3), "transpositions"),
+        ((2, 1), (1, 3), "block_interchanges"),
+        ((-2, 1), (1, 2, 3), "reversals"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(goal))} is unreachable from"):
+            bfs_distance(start, goal, kind)
 
 
 def test_generator_kinds():

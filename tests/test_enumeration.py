@@ -225,6 +225,46 @@ def test_p1_closed_form_values():
         assert p1_values(n, P([1] * n)) == {math.factorial(n - 1)}
 
 
+def reference_p1_alternating(n, lam):
+    """The alternating sum by search: over every partition of every ``i < n``,
+    read as multiplicities ``r``, a part ``j`` contributes
+    ``binom(a_j, r_j)`` with ``a_j`` its multiplicity in ``lam``, except
+    ``j == 1``, whose upper argument ``a_1 - 1`` may be ``-1``."""
+
+    def binom(m, r):
+        # (m choose r) for any integer m, so (-1 choose r) = (-1)^r
+        num = 1
+        for t in range(r):
+            num *= m - t
+        return num // math.factorial(r)
+
+    mult = lam.multiplicities()
+    total = 0
+    for i in range(n):
+        inner = 0
+        for mu in partitions_of(i):
+            term = 1
+            sign = 0
+            for j, rj in mu.multiplicities().items():
+                term *= binom(mult.get(j, 0) - (1 if j == 1 else 0), rj)
+                if j % 2 == 0:
+                    sign += rj
+            inner += -term if sign % 2 else term
+        total += math.factorial(i) * math.factorial(n - 1 - i) * inner
+    quotient, remainder = divmod(total, n)
+    assert remainder == 0, (n, lam)
+    return quotient
+
+
+def test_p1_alternating_matches_the_reference_sum():
+    shapes = 0
+    for n in range(1, 15):
+        for lam in partitions_of(n):
+            assert enumeration._p1_alternating(n, lam) == reference_p1_alternating(n, lam), lam
+            shapes += 1
+    assert shapes == 507
+
+
 def test_p1_parity_zero():
     # odd gap between n and the diagonal length forces an empty count
     assert p1_values(5, P([2, 1, 1, 1])) == {0}

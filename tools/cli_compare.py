@@ -13,8 +13,9 @@ differed.
 Two commands run at a time, and the first three that differ are printed.
 A line of the command list holds the arguments after ``planeperm``, quoted
 as in a POSIX shell; ``{out}`` stands for a file path, the same on both
-sides, whose contents are compared after the command.  Blank lines and
-lines starting with ``#`` are skipped.
+sides, whose contents are compared after the command, and ``{in}`` for
+the committed ``distance_inputs.txt`` beside this script, read by
+``distance --in``.  Blank lines and lines starting with ``#`` are skipped.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = Path(__file__).resolve().parent / "cli_commands.txt"
+INPUTS = Path(__file__).resolve().parent / "distance_inputs.txt"
 WORKERS = 2
 SHOWN = 3
 RUNNER = "import sys; from planeperm.cli import main; main(sys.argv[1:], prog_name='planeperm')"
@@ -58,8 +60,9 @@ def run_once(src: Path, args: list[str], workdir: Path) -> tuple:
     """(exit code, stdout, stderr, ``--out`` bytes or None) of one fresh process."""
     out = workdir / "out.txt"
     out.unlink(missing_ok=True)
+    paths = {"{out}": str(out), "{in}": str(INPUTS)}
     done = subprocess.run(
-        [sys.executable, "-c", RUNNER, *(str(out) if a == "{out}" else a for a in args)],
+        [sys.executable, "-c", RUNNER, *(paths.get(a, a) for a in args)],
         cwd=workdir,
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
