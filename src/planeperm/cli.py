@@ -149,8 +149,11 @@ def distance(settings: Settings, kind, inputs, scenario, oracle, cap, in_file) -
     """
     texts = list(inputs)
     if in_file:
-        with open(in_file, encoding="utf-8") as fh:
-            texts.extend(line.strip() for line in fh if line.strip())
+        try:
+            with open(in_file, encoding="utf-8") as fh:
+                texts.extend(line.strip() for line in fh if line.strip())
+        except UnicodeDecodeError as err:
+            raise click.UsageError(f"{in_file!r} is not UTF-8 text: {err.reason} at byte {err.start}")
     if not texts:
         raise click.UsageError("no permutations given; pass them as arguments or via --in")
     if scenario and kind not in ("bid", "rev-lb"):

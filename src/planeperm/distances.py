@@ -519,8 +519,11 @@ def bfs_distance(
     start, goal = tuple(start), tuple(goal)
     if start == goal:
         return 0
-    # every family only rearranges the entries (reversals flip signs too)
-    same_entries = sorted(map(abs, start)) == sorted(map(abs, goal))
+    # every family only rearranges the entries; reversals alone flip signs
+    if kind == "reversals":
+        same_entries = sorted(map(abs, start)) == sorted(map(abs, goal))
+    else:
+        same_entries = sorted(start) == sorted(goal)
     dist = _bfs(start, kind, cap, goal) if same_entries else {}
     if goal not in dist:
         raise ValueError(f"{goal!r} is unreachable from {start!r} under {kind}")

@@ -692,6 +692,8 @@ def test_bfs_distance_refuses_other_entries_without_searching(monkeypatch):
         (tuple(range(1, 10)), (1, 2, 3), "transpositions"),
         ((2, 1), (1, 3), "block_interchanges"),
         ((-2, 1), (1, 2, 3), "reversals"),
+        ((-1, *range(2, 8)), tuple(range(1, 8)), "transpositions"),
+        ((-1, *range(2, 8)), tuple(range(1, 8)), "block_interchanges"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(repr(goal))} is unreachable from"):
             bfs_distance(start, goal, kind)
