@@ -9,7 +9,10 @@ lower bounds (transposition and reversal distance).
 
 Unsigned sequences are tuples containing 1..n; signed permutations are tuples
 of nonzero integers whose magnitudes are a permutation of 1..n, rendered in
-text as ``"-3 +1 +2"`` with mandatory signs.
+text as ``"-3 +1 +2"`` with mandatory signs.  A signed permutation is encoded
+by its skew-symmetric double cover; the same-cycle scans check, over every
+signed permutation or over those in which n is negated, that n and the
+middle entry of the cover share a vertical cycle.
 """
 
 from __future__ import annotations
@@ -183,12 +186,6 @@ def parse_signed(text: str) -> tuple[int, ...]:
 
 def format_signed(a: Sequence[int]) -> str:
     return " ".join(f"{v:+d}" for v in a)
-
-
-def is_exact(a: Sequence[int]) -> bool:
-    """Whether the signed permutation has any negative entry (so a two-step
-    reversal candidate exists)."""
-    return any(v < 0 for v in a)
 
 
 def skew_seq(a: Sequence[int]) -> tuple[int, ...]:
@@ -373,11 +370,10 @@ def all_signed(n: int) -> Iterator[tuple[int, ...]]:
 def conjecture_scan(n: int, which: str) -> VerifyReport:
     """Scan signed permutations for the same-cycle property of the vertical.
 
-    ``which`` selects the population: ``"same-cycle-exact"`` restricts to
-    rows with a negative entry whose vertical pairs some first-half entry with
-    its mirror, ``"same-cycle-all"`` scans every signed permutation.  In both
-    populations the check is that n and the middle entry of the double cover
-    lie in one vertical cycle.  The property is proved (see
+    ``which`` selects the population: ``"same-cycle-exact"`` scans the
+    2^(n−1) · n! rows in which n is negated, ``"same-cycle-all"`` all 2^n · n!
+    signed permutations.  In both the check is that n and the middle entry of
+    the double cover lie in one vertical cycle.  The property is proved (see
     :func:`_find_2_reversal`); the scans check it exhaustively, never raising.
     """
     size_gate("conjecture scan", n, 7)
@@ -388,13 +384,13 @@ def conjecture_scan(n: int, which: str) -> VerifyReport:
     scanned = 0
     for a in all_signed(n):
         scanned += 1
-        if exact_only and not is_exact(a):
+        # The exact rows are those whose vertical π sends some row[i−1] to the
+        # mirror −a_i.  As π = D⁻¹∘s and s(row[i−1]) = a_i, that reads
+        # a_i = D(−a_i).  D sends −v to −(v−1) (−1 to 0), v to v+1, and n to
+        # −n, so it holds exactly when a_i = −n.
+        if exact_only and -n not in a:
             continue
         images, packed = _signed_vertical(a)
-        if exact_only and not any(
-            images[packed[i - 1]] == packed[2 * n + 1 - i] for i in range(1, n + 1)
-        ):
-            continue
         report.check(
             _meets_middle(images, packed),
             lambda: f"n and middle entry split at {format_signed(a)}",

@@ -23,18 +23,16 @@ def jsonable(value):
     """Recursively make ``value`` safe to dump as JSON.
 
     Integers beyond 53 bits become strings so no consumer silently rounds
-    them; dict keys become strings; tuples become lists; anything else
-    unfamiliar falls back to ``str``.
+    them; dict keys become strings; tuples become lists.  Anything else is
+    returned as it is, so ``json.dumps`` raises on a type it cannot encode.
     """
-    if value is None or isinstance(value, (bool, str, float)):
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) > MAX_SAFE_INT else value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    return str(value)
+    if isinstance(value, int) and abs(value) > MAX_SAFE_INT:
+        return str(value)
+    return value
 
 
 def to_json(record) -> str:

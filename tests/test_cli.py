@@ -182,6 +182,14 @@ def test_enumerate_usage_errors():
         assert message in malformed.stderr
 
 
+def test_enumerate_refuses_a_blank_lam():
+    # a blank --lam parses as the empty partition, which partitions 0
+    blank = run("enumerate", "pk-lambda", "3", "--lam", " ")
+    assert blank.exit_code == 2
+    assert blank.stdout == ""
+    assert blank.stderr.endswith("\nError: --lam ' ' is not a partition of 3\n")
+
+
 def test_enumerate_size_gate():
     assert run("enumerate", "pk-lambda", "9", "--lam", "9").exit_code == 0
     beyond = run("enumerate", "pk-lambda", "11", "--lam", "11")

@@ -35,7 +35,6 @@ SLOW = frozenset(
         "verify max-gap 6",
         "verify stirling 240",
         "verify td-oracle 8",
-        "conjecture same-cycle-exact 6",
         "conjecture same-cycle-all 6",
     )
     for prefix in ("", "--format json ", "--format csv ")

@@ -1,6 +1,7 @@
 """Dead-code guard over the library: unused imports, unused private names,
 public names that nothing but the tests reads, and parameters with a default
-that no call in the library or the benchmark passes."""
+that no call in the library or the benchmark passes.  It also refuses any
+``assert`` statement in the library, since ``python -O`` strips them."""
 
 import ast
 import re
@@ -200,6 +201,16 @@ def unpassed_parameters(library: dict[str, str], callers: dict[str, str]) -> lis
     return found
 
 
+def assert_statements(modules: dict[str, str]) -> list[str]:
+    """``<file>:<line>: assert`` for each ``assert`` statement."""
+    return [
+        f"{name}:{node.lineno}: assert"
+        for name, text in modules.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Assert)
+    ]
+
+
 def _callers() -> dict[str, str]:
     """The library and the benchmark, which is read, never written."""
     bench = {
@@ -223,6 +234,10 @@ def test_every_public_name_is_read():
 
 def test_every_optional_parameter_is_passed():
     assert unpassed_parameters(_modules(), _callers()) == []
+
+
+def test_no_assert_statements():
+    assert assert_statements(_modules()) == []
 
 
 def test_guard_reports_what_it_finds():
@@ -298,3 +313,11 @@ def test_parameter_guard_reports_what_it_finds():
         "a.py: open(lid) is never passed",
         "a.py: make(size) is never passed",
     ]
+
+
+def test_assert_guard_reports_what_it_finds():
+    modules = {
+        "a.py": "def f(x):\n    assert x, 'checked'\n    return x\n",
+        "b.py": "def g(x):\n    if not x:\n        raise ValueError('checked')\n",
+    }
+    assert assert_statements(modules) == ["a.py:2: assert"]

@@ -1,6 +1,7 @@
 """Sorting distances: block interchanges, transpositions, signed reversals."""
 
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ from planeperm.distances import (
     find_2_reversal,
     format_signed,
     greedy_reversal_sort,
-    is_exact,
     max_cycle_gap,
     parse_signed,
     parse_unsigned,
@@ -150,6 +150,17 @@ def reference_find_2_reversal(a):
     if case.cycle_delta != 2:
         raise AssertionError(f"constructed reversal {move} is {case} on {p.s!r}")
     return move
+
+
+def reference_exact(a):
+    """The same-cycle scan's former two-stage filter for its exact population:
+    some entry is negative, and the vertical sends some row[i−1] of the
+    double cover to −a_i, the mirror of row[i]."""
+    n = len(a)
+    if not any(v < 0 for v in a):
+        return False
+    images, packed = _signed_vertical(a)
+    return any(images[packed[i - 1]] == packed[2 * n + 1 - i] for i in range(1, n + 1))
 
 
 def reference_greedy_sort(a):
@@ -277,11 +288,6 @@ def test_skew_seq():
     assert skew_seq((-2, 1, 3)) == (0, -2, 1, 3, -3, -1, 2)
 
 
-def test_is_exact():
-    assert is_exact((-1, 2))
-    assert not is_exact((2, 1))
-
-
 def test_reversal_validation():
     with pytest.raises(ValueError):
         Reversal(2, 1)
@@ -294,6 +300,21 @@ def test_reversal_validation():
 def test_apply_reversal():
     assert apply_reversal((3, -2, 1), Reversal(1, 3)) == (-1, 2, -3)
     assert apply_reversal((1, 2, 3), Reversal(2, 2)) == (1, -2, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: apply_reversal((1, 2), Reversal(1, 3)), "reversal(1,3) out of range for (1, 2)"),
+        (lambda: bfs_distances((1, 2), "swaps"), "unknown generator family 'swaps'"),
+        (lambda: bfs_distance((1, 2), (2, 1), "swaps"), "unknown generator family 'swaps'"),
+    ],
+    ids=["apply_reversal", "bfs_distances", "bfs_distance"],
+)
+def test_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_rev_lower_bound_values():
@@ -529,11 +550,28 @@ def test_worked_cases_are_conjecture_instances():
     # the two length-4 cases pair a first-half entry with its mirror, so the
     # same-cycle scan at n=4 must count them among its instances
     for a in ((-3, 1, 2, -4), (2, -4, -1, 3)):
-        assert is_exact(a)
+        assert -len(a) in a
         p = signed_plane(a)
         n = len(a)
         assert any(p.pi(p.s[i - 1]) == p.s[2 * n + 1 - i] for i in range(1, n + 1))
         assert p.pi.same_cycle(n, p.s[n])
+
+
+def test_exact_population_is_the_rows_that_negate_n():
+    # the mirror test π(row[i−1]) = −a_i reads a_i = D(−a_i), which holds
+    # exactly at a_i = −n
+    for n in range(1, 7):
+        for a in all_signed(n):
+            assert reference_exact(a) == (-n in a), a
+
+
+def test_exact_population_is_half_of_every_size():
+    for n in range(1, 7):
+        rep = conjecture_scan(n, "same-cycle-exact")
+        assert rep.info == {
+            "instances": 2 ** (n - 1) * math.factorial(n),
+            "scanned": 2**n * math.factorial(n),
+        }
 
 
 def test_conjecture_scan_smallest():

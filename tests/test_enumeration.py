@@ -480,6 +480,33 @@ def test_size_zero_is_refused(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: verify_f_recurrence(3, P([2]), P([3])),
+            "both cycle types must be partitions of n",
+        ),
+        (lambda: verify_cycle_recurrence(3, P([2]), 1), "2 is not a partition of 3"),
+        (lambda: verify_cycle_recurrence(3, P([3]), 0), "k must be positive"),
+        (lambda: p1_routes(3, P([2])), "2 is not a partition of 3"),
+        (lambda: W_count(P([2]), P([3]), P([2])), "all three types must partition the same number"),
+        (
+            lambda: verify_trisection(Permutation.from_cycles([(1, 2), (3,)])),
+            "need an even number of labels",
+        ),
+    ],
+    ids=[
+        "f-recurrence-weight", "cycle-recurrence-weight", "cycle-recurrence-k",
+        "p1_routes", "W_count", "trisection-odd",
+    ],
+)
+def test_argument_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_identity_suites_pass_small():
     assert suite_ntae_identity(4).passed
     assert suite_f_recurrence(4).passed

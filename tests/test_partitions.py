@@ -69,6 +69,25 @@ def test_partition_rejects_bad_parts():
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Partition((1, 2)), "parts must be non-increasing: (1, 2)"),
+        (lambda: list(partitions_of(-1)), "n must be non-negative"),
+        (lambda: splits(Partition.of([2]), 0), "pieces must be positive"),
+        (
+            lambda: kappa(Partition.of([2]), Partition.of([1])),
+            "partitions must have the same weight",
+        ),
+    ],
+    ids=["increasing-parts", "partitions_of", "splits", "kappa"],
+)
+def test_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_partitions_of_counts():
     for n, expected in enumerate(PARTITION_COUNTS):
         assert len(list(partitions_of(n))) == expected

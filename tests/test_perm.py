@@ -58,6 +58,30 @@ def test_from_cycles_names_a_repeated_label():
         cycle_from_sequence([1, 1])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Permutation((2, 1), (1, 2)), "labels must be strictly increasing"),
+        (lambda: Permutation((1, 2), (1, 3)), "images must be a rearrangement of the labels"),
+        (lambda: Permutation.from_cycles([()]), "empty cycle"),
+        (
+            lambda: Permutation.from_cycle_type(Partition.of([2, 1]), labels=(1, 2)),
+            "label count must match the partition weight",
+        ),
+        (
+            lambda: Permutation.identity((1, 2)).compose(Permutation.identity((1, 3))),
+            "permutations act on different label sets",
+        ),
+        (lambda: cycle_from_sequence(()), "empty sequence"),
+    ],
+    ids=["unsorted-labels", "images", "empty-cycle", "label-count", "compose", "empty-sequence"],
+)
+def test_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_from_cycle_type_default_labels():
     p = Permutation.from_cycle_type(Partition.of([3, 2]))
     assert str(p.cycles()) == "(1 2 3)(4 5)"

@@ -284,6 +284,34 @@ def test_rejects_mismatched_rows():
         PlanePermutation.from_rows((1, 1), (1, 1))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: BlockInterchange(1, 1, 2, 3).validate(3),
+            "(1,1,2,3) does not fit a sequence of length 3",
+        ),
+        (lambda: PlanePermutation((), Permutation((), ())), "top row must be non-empty"),
+        (
+            lambda: PlanePermutation((1, 2), Permutation.identity((1, 3))),
+            "top row and bottom permutation use different labels",
+        ),
+        # the fixture sliced at 8 has top row 3 8 5 1 4 7 2 6 and cycles
+        # (3 5 6 1)(7 2)(4)(8), each written from its first label in that row
+        (lambda: fixture().slice(8).plane.glue(9, 4, 8), "9 is not a label of this plane permutation"),
+        (
+            lambda: fixture().slice(8).plane.glue(8, 5, 7),
+            "first two glue anchors must be their cycles' minima",
+        ),
+    ],
+    ids=["block-interchange-fit", "empty-top-row", "different-labels", "glue-label", "glue-minima"],
+)
+def test_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_swap_blocks():
     assert swap_blocks((0, 1, 2, 3, 4), BlockInterchange(1, 2, 3, 4)) == (0, 3, 4, 1, 2)
     assert swap_blocks((0, 1, 2, 3), BlockInterchange(1, 1, 2, 3)) == (0, 2, 3, 1)

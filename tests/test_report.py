@@ -10,6 +10,7 @@ from planeperm import distances, enumeration
 from planeperm.partitions import Partition
 from planeperm.perm import Permutation
 from planeperm.report import EnumerationLimitError, VerifyReport, merge_reports, pmap, summed
+from planeperm.serialize import to_json
 
 
 def test_check_counts_and_passes():
@@ -75,6 +76,13 @@ def test_to_json_obj_is_serializable():
     obj = rep.to_json_obj()
     text = json.dumps(obj)
     assert json.loads(text)["failure_count"] == 1
+
+
+def test_to_json_rounds_nothing_and_refuses_unknown_types():
+    text = to_json({"big": 2**53, "safe": 2**53 - 1, 3: (True, None, 0.5)})
+    assert json.loads(text) == {"3": [True, None, 0.5], "big": "9007199254740992", "safe": 2**53 - 1}
+    with pytest.raises(TypeError):
+        to_json({"x": {1, 2}})
 
 
 def _square(x):
