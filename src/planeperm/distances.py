@@ -10,9 +10,11 @@ lower bounds (transposition and reversal distance).
 Unsigned sequences are tuples containing 1..n; signed permutations are tuples
 of nonzero integers whose magnitudes are a permutation of 1..n, rendered in
 text as ``"-3 +1 +2"`` with mandatory signs.  A signed permutation is encoded
-by its skew-symmetric double cover; the same-cycle scans check, over every
-signed permutation or over those in which n is negated, that n and the
-middle entry of the cover share a vertical cycle.
+by its skew-symmetric double cover, packed from ``-n..n`` onto ``0..2n`` by
+``v -> v mod 2n+1``; its diagonal then reads ``x -> x + 1``, so the reversal
+lower bound is the block-interchange half-gap of the packed cover.  The
+same-cycle scans check, over every signed permutation or over those in which
+n is negated, that n and the middle entry of the cover share a vertical cycle.
 """
 
 from __future__ import annotations
@@ -72,6 +74,12 @@ def _vertical_images(row: Sequence[int]) -> list[int]:
     return [y - 1 if y else len(row) - 1 for y in succ]
 
 
+def _half_gap(row: Sequence[int]) -> int:
+    # (len(row) − C)/2 with C the vertical cycles of the sorting plane of
+    # ``row``: the block-interchange distance of the anchored row.
+    return exact_div(len(row) - count_cycles(_vertical_images(row)), 2)
+
+
 def td_lower_bound(seq: Sequence[int]) -> int:
     """Odd-cycle lower bound ceil((n+1−C_odd)/2) for the transposition distance
     of ``seq``, with C_odd the odd cycles of the sorting plane's vertical."""
@@ -88,10 +96,7 @@ def bid(seq: Sequence[int]) -> int:
     >>> bid((1, 2, 3, 4))
     0
     """
-    seq = check_sequence(seq)
-    n = len(seq)
-    cycles = count_cycles(_vertical_images(augmented_row(seq)))
-    return exact_div(n + 1 - cycles, 2)
+    return _half_gap(augmented_row(check_sequence(seq)))
 
 
 def bid_sort(seq: Sequence[int]) -> tuple[BlockInterchange, ...]:
@@ -177,7 +182,7 @@ def check_signed(a: Iterable[int]) -> tuple[int, ...]:
 
 def parse_signed(text: str) -> tuple[int, ...]:
     """Parse ``"-3 +1 +2"``; every entry must carry an explicit sign."""
-    tokens = text.replace(",", " ").split()
+    tokens = text.split()
     for token in tokens:
         if not (token[0] in "+-" and token[1:].isdigit()):
             raise ValueError(f"signed entry needs an explicit sign: {token!r}")
@@ -239,22 +244,17 @@ def apply_reversal(a: Sequence[int], move: Reversal) -> tuple[int, ...]:
     return _reverse(a, move)
 
 
-def _signed_vertical(a: Sequence[int]) -> tuple[list[int], list[int]]:
-    # Image table of the vertical of the double cover's plane (top row
-    # ``skew_seq(a)``, diagonal 0 -> 1 -> .. -> n -> -n -> .. -> -1 -> 0) with
-    # labels packed as v -> v and -v -> n + v, plus the packed row; unvalidated.
-    n = len(a)
-    packed = [v if v >= 0 else n - v for v in _skew_row(a)]
-    _, succ = _row_tables(packed)
-    # packed inverse diagonal: 0 -> -1, v -> v - 1, -v -> -(v + 1), -n -> n
-    rot = [n + 1, *range(n), *range(n + 2, 2 * n + 1), n]
-    return [rot[y] for y in succ], packed
+def _cover_row(a: Sequence[int]) -> list[int]:
+    # ``skew_seq(a)`` packed onto 0..2n by v -> v mod 2n+1, unvalidated: the
+    # diagonal 0 -> 1 -> .. -> n -> -n -> .. -> -1 -> 0 becomes x -> x + 1.
+    size = 2 * len(a) + 1
+    return [v + size if v < 0 else v for v in _skew_row(a)]
 
 
-def _meets_middle(images: Sequence[int], packed: Sequence[int]) -> bool:
-    # Whether n and the middle entry of the double cover share a vertical cycle.
-    n = len(packed) // 2
-    return packed[n] in _cycle_map((n,), images.__getitem__)[n]
+def _meets_middle(row: Sequence[int]) -> bool:
+    # Whether n and the middle entry of the packed cover share a vertical cycle.
+    n = len(row) // 2
+    return row[n] in _cycle_map((n,), _vertical_images(row).__getitem__)[n]
 
 
 def rev_lower_bound(a: Sequence[int]) -> int:
@@ -263,9 +263,7 @@ def rev_lower_bound(a: Sequence[int]) -> int:
     >>> rev_lower_bound((-1,))
     1
     """
-    a = check_signed(a)
-    images, _ = _signed_vertical(a)
-    return exact_div(2 * len(a) + 1 - count_cycles(images), 2)
+    return _half_gap(_cover_row(check_signed(a)))
 
 
 def _endpoints(a: Sequence[int]) -> list[int]:
@@ -308,9 +306,11 @@ def _find_2_reversal(a: tuple[int, ...]) -> Reversal | None:
     most_negative = min(a)
     if most_negative > 0:
         return None
-    images, packed = _signed_vertical(a)
+    size = 2 * n + 1
+    packed = _cover_row(a)
+    images = _vertical_images(packed)
     pos, _ = _row_tables(packed)
-    i = pos[n - most_negative]
+    i = pos[most_negative % size]
     if most_negative == -n:
         # a_n is on n's cycle.  Negation N inverts the diagonal D and the row
         # cycle s, so σ = N∘D and τ = N∘s are involutions, fixing only n and
@@ -318,7 +318,7 @@ def _find_2_reversal(a: tuple[int, ...]) -> Reversal | None:
         # it, so it is odd, and then τ fixes one too, which must be a_n.
         move = Reversal(i, n)
     else:
-        j = 2 * n - pos[n + 1 - most_negative]
+        j = 2 * n - pos[(most_negative - 1) % size]
         move = Reversal(i, j) if i - 1 < j else Reversal(j + 1, i - 1)
     case = _case(packed, images.__getitem__, move.as_block_interchange(n))
     if case.cycle_delta != 2:
@@ -390,9 +390,8 @@ def conjecture_scan(n: int, which: str) -> VerifyReport:
         # −n, so it holds exactly when a_i = −n.
         if exact_only and -n not in a:
             continue
-        images, packed = _signed_vertical(a)
         report.check(
-            _meets_middle(images, packed),
+            _meets_middle(_cover_row(a)),
             lambda: f"n and middle entry split at {format_signed(a)}",
         )
     report.info["instances"] = report.checked

@@ -2,11 +2,11 @@
 
 Labels are integers but need not be ``1..n``: a plane keeps the labels it
 is given.  The signed distances do not use this class; they pack ``-n..n``
-onto ``0..2n`` and work on image arrays.  Composition is right-to-left,
-``(f * g)(x) == f(g(x))``, so the right factor acts first.  Cycle
-decompositions are canonical (each cycle starts at its smallest label,
-cycles sorted by that label, fixed points included), which makes the
-string form of a permutation unambiguous.
+onto ``0..2n`` by ``v -> v mod 2n+1`` and work on image arrays.  Composition
+is right-to-left, ``(f * g)(x) == f(g(x))``, so the right factor acts first.
+Cycle decompositions are canonical (each cycle starts at its smallest label,
+cycles sorted by that label, fixed points included), which makes the string
+form of a permutation unambiguous.
 
 >>> f = Permutation.from_cycles([(0, 2), (1, 3)])
 >>> g = Permutation.from_cycles([(0, 3, 2, 1)])

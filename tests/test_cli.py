@@ -92,6 +92,18 @@ def test_distance_usage_errors():
     assert empty.stdout == ""
 
 
+def test_distance_inputs_are_whitespace_separated():
+    # Both grammars split on whitespace only, so a comma stays inside a token.
+    unsigned = run("distance", "bid", "3,2,1")
+    assert unsigned.exit_code == 2
+    assert unsigned.stdout == ""
+    assert "bad sequence '3,2,1'" in unsigned.stderr
+    signed = run("distance", "rev-lb", "--", "-3,+2,+1")
+    assert signed.exit_code == 2
+    assert signed.stdout == ""
+    assert "signed entry needs an explicit sign: '-3,+2,+1'" in signed.stderr
+
+
 def test_distance_reads_input_file(tmp_path):
     listing = tmp_path / "perms.txt"
     listing.write_text("3 2 1\n\n1 2 3\n")

@@ -17,8 +17,9 @@ from planeperm.distances import (
     Reversal,
     SearchCapExceeded,
     _bfs,
+    _cover_row,
     _gathers,
-    _signed_vertical,
+    _vertical_images,
     all_signed,
     apply_reversal,
     augmented_row,
@@ -159,7 +160,8 @@ def reference_exact(a):
     n = len(a)
     if not any(v < 0 for v in a):
         return False
-    images, packed = _signed_vertical(a)
+    packed = _cover_row(a)
+    images = _vertical_images(packed)
     return any(images[packed[i - 1]] == packed[2 * n + 1 - i] for i in range(1, n + 1))
 
 
@@ -522,13 +524,30 @@ def test_signed_vertical_matches_the_object_vertical():
         vertical = signed_plane(signed).pi
 
         def pk(v):
-            return v if v >= 0 else n - v
+            return v % (2 * n + 1)
 
-        images, packed = _signed_vertical(signed)
+        packed = _cover_row(signed)
+        images = _vertical_images(packed)
         assert packed == [pk(v) for v in skew_seq(signed)], signed
         assert all(images[pk(x)] == pk(vertical(x)) for x in vertical.labels), signed
         total = reference_cycle_counts(vertical)[0]
         assert rev_lower_bound(signed) == (2 * n + 1 - total) // 2, signed
+
+
+def test_rev_lower_bound_is_the_block_interchange_half_gap_of_the_cover():
+    # The packed cover is a sequence on 1..2n behind the anchor 0, so bid
+    # validates it; its half-gap is the reversal bound.
+    checked = 0
+    for n in range(1, 6):
+        for a in all_signed(n):
+            assert rev_lower_bound(a) == bid(tuple(_cover_row(a)[1:])), a
+            checked += 1
+    assert checked == 4282
+    for _, signed, _ in seeded_queries():
+        if len(signed) in (300, 1000):
+            assert rev_lower_bound(signed) == bid(tuple(_cover_row(signed)[1:])), signed
+            checked += 1
+    assert checked == 4284
 
 
 def test_array_bounds_keep_their_errors():

@@ -235,13 +235,13 @@ def test_fixture_slice_rejects_bad_labels():
 def test_fixture_glue_rejects_bad_anchors():
     p = fixture()
     q = p.slice(8).plane
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="increasing in the top-row order"):
         q.glue(3, 4, 8)  # anchors out of top-row order
-    with pytest.raises(ValueError):
-        q.glue(5, 8, 4)  # 5 is not its cycle's minimum
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be their cycles' minima"):
+        q.glue(8, 5, 7)  # 5 is not its cycle's minimum
+    with pytest.raises(ValueError, match="2 is neither its cycle's minimum nor the image"):
         q.glue(3, 8, 2)  # 2 is neither a minimum nor an image of an NTAE
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="third cycle must lie after the second anchor"):
         q.glue(8, 4, 6)  # 6's cycle starts before the second anchor
 
 
