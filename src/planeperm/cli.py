@@ -150,7 +150,7 @@ def distance(settings: Settings, kind, inputs, scenario, oracle, cap, in_file) -
     texts = list(inputs)
     if in_file:
         try:
-            with open(in_file, encoding="utf-8") as fh:
+            with open(in_file, encoding="utf-8-sig") as fh:
                 texts.extend(line.strip() for line in fh if line.strip())
         except UnicodeDecodeError as err:
             raise click.UsageError(f"{in_file!r} is not UTF-8 text: {err.reason} at byte {err.start}")

@@ -26,7 +26,7 @@ from operator import itemgetter, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .enumeration import xi
-from .partitions import exact_div
+from .partitions import _int_token, exact_div
 from .perm import Permutation, _cycle_map, array_cycle_counts, count_cycles, parse_sequence
 from .plane import BlockInterchange, TransposeCase, _case, _row_tables, swap_blocks
 from .report import VerifyReport, merge_reports, size_gate, summed
@@ -114,7 +114,7 @@ def bid_sort(seq: Sequence[int]) -> tuple[BlockInterchange, ...]:
     row = list(augmented_row(seq))
     steps: list[BlockInterchange] = []
     while True:
-        pos = {v: t for t, v in enumerate(row)}
+        pos, _ = _row_tables(row)
         x = next((v for v in range(n - 1, 0, -1) if pos[v + 1] < pos[v]), None)
         if x is None:
             break
@@ -181,12 +181,13 @@ def check_signed(a: Iterable[int]) -> tuple[int, ...]:
 
 
 def parse_signed(text: str) -> tuple[int, ...]:
-    """Parse ``"-3 +1 +2"``; every entry must carry an explicit sign."""
+    """Parse ``"-3 +1 +2"``; every entry is a sign, then ASCII digits."""
     tokens = text.split()
     for token in tokens:
-        if not (token[0] in "+-" and token[1:].isdigit()):
+        if token[0] not in "+-":
             raise ValueError(f"signed entry needs an explicit sign: {token!r}")
-    return check_signed(int(token) for token in tokens)
+    fault = "signed entry needs ASCII digits after its sign"
+    return check_signed(_int_token(token, fault) for token in tokens)
 
 
 def format_signed(a: Sequence[int]) -> str:
@@ -293,10 +294,11 @@ def find_2_reversal(a: Sequence[int]) -> Reversal | None:
     """A reversal raising the vertical cycle count of the plane of
     ``skew_seq(a)`` by two; None exactly when every entry of ``a`` is positive.
 
-    Looks at the most negative entry m of ``a``.  If m > −n, the entry m−1
-    sits in the second half of the row and pins down a reversal directly; if
-    m = −n, the reversal over the half-row works, since n and the last entry
-    of ``a`` always share a vertical cycle.  All-positive rows admit none.
+    Takes the most negative entry m of ``a`` and the label |m| + 1, reading
+    n + 1 as standing after the row, so that m = −n pairs with that frame.
+    The two form an oriented pair: the reversal from m to just before |m| + 1
+    when m comes first, else from |m| + 1 to just before m, makes them
+    adjacent.  All-positive rows admit none.
     """
     return _find_2_reversal(check_signed(a))
 
@@ -306,21 +308,16 @@ def _find_2_reversal(a: tuple[int, ...]) -> Reversal | None:
     most_negative = min(a)
     if most_negative > 0:
         return None
-    size = 2 * n + 1
+    i = a.index(most_negative) + 1
+    j = (*a, n + 1).index(1 - most_negative)
+    # At m = −n this is the reversal [i..n], and a_n is on n's cycle.
+    # Negation N inverts the diagonal D and the row cycle s, so σ = N∘D and
+    # τ = N∘s are involutions, fixing only n and a_n, with π = σ∘τ.  Both
+    # reflect n's π-cycle: σ fixes one point of it, so it is odd, and then τ
+    # fixes one too, which must be a_n.
+    move = Reversal(i, j) if i <= j else Reversal(j + 1, i - 1)
     packed = _cover_row(a)
-    images = _vertical_images(packed)
-    pos, _ = _row_tables(packed)
-    i = pos[most_negative % size]
-    if most_negative == -n:
-        # a_n is on n's cycle.  Negation N inverts the diagonal D and the row
-        # cycle s, so σ = N∘D and τ = N∘s are involutions, fixing only n and
-        # a_n, with π = σ∘τ.  Both reflect n's π-cycle: σ fixes one point of
-        # it, so it is odd, and then τ fixes one too, which must be a_n.
-        move = Reversal(i, n)
-    else:
-        j = 2 * n - pos[(most_negative - 1) % size]
-        move = Reversal(i, j) if i - 1 < j else Reversal(j + 1, i - 1)
-    case = _case(packed, images.__getitem__, move.as_block_interchange(n))
+    case = _case(packed, _vertical_images(packed).__getitem__, move.as_block_interchange(n))
     if case.cycle_delta != 2:
         raise AssertionError(f"constructed reversal {move} is {case} on {skew_seq(a)!r}")
     return move

@@ -242,16 +242,14 @@ def verify_stirling_recurrence(n_max: int) -> VerifyReport:
 
 def exceedance_totals(n: int, k: int) -> tuple[int, int]:
     """Total count of ``x`` with ``pi(x) > x`` over ordinary permutations of
-    ``n`` symbols with ``k`` cycles, by two closed forms (checked equal).
+    ``n`` symbols with ``k`` cycles, by two closed forms; ``suite_exceedance``
+    checks them against each other and against the count.
 
     >>> exceedance_totals(3, 1)
     (3, 3)
     """
     direct = (n - k) * stirling_first(n, k) - _higher_cycles(partial(stirling_first, n), n, k)
-    product = binomial(n, 2) * stirling_first(n - 1, k)
-    if direct != product:
-        raise AssertionError(f"exceedance totals disagree at n={n} k={k}: {direct}, {product}")
-    return direct, product
+    return direct, binomial(n, 2) * stirling_first(n - 1, k)
 
 
 # -- identities read off the count tables -------------------------------
@@ -680,17 +678,11 @@ def suite_exceedance(n: int) -> VerifyReport:
         by_ak, by_akl = _ordinary_tables(m)
         for k in range(1, m + 1):
             total_a = sum(a * c for (a, kk), c in by_ak.items() if kk == k)
-            try:
-                direct, _ = exceedance_totals(m, k)
-            except AssertionError as err:
-                rep.check(False, str(err))
-            else:
-                rep.check(
-                    total_a == direct,
-                    lambda: (
-                        f"m={m} k={k}: counted exceedances {total_a} != closed form {direct}"
-                    ),
-                )
+            direct, product = exceedance_totals(m, k)
+            rep.check(
+                total_a == direct == product,
+                lambda: f"m={m} k={k}: exceedances {total_a}, closed forms {direct} and {product}",
+            )
             lhs = sum((m - a - k) * c for (a, kk), c in by_ak.items() if kk == k)
             rhs = _higher_cycles(partial(stirling_first, m), m, k)
             rep.check(lhs == rhs, lambda: f"m={m} k={k}: anti-exceedance total {lhs} != {rhs}")

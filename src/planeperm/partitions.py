@@ -27,6 +27,15 @@ def exact_div(a: int, b: int) -> int:
     return q
 
 
+def _int_token(token: str, fault: str = "invalid literal for int() with base 10") -> int:
+    """``int(token)`` for an optional sign then ASCII digits only, else ``fault``;
+    ``int`` alone also reads underscores, surrounding spaces and non-ASCII digits."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{fault}: {token!r}")
+    return int(token)
+
+
 def binomial(m: int, r: int) -> int:
     """Binomial coefficient for ``m >= 0``; zero for ``r < 0`` or ``r > m``.
 
@@ -70,11 +79,11 @@ class Partition:
             if "^" in text:
                 for chunk in text.split():
                     value, _, count = chunk.partition("^")
-                    if int(count) < 1:
+                    if _int_token(count) < 1:
                         raise ValueError
-                    parts.extend([int(value)] * int(count))
+                    parts.extend([_int_token(value)] * int(count))
             else:
-                parts = [int(tok) for tok in text.split("+")]
+                parts = [_int_token(tok.strip()) for tok in text.split("+")]
         except ValueError:
             where = f"partition chunk: {chunk!r}" if "^" in text else f"partition: {text!r}"
             raise ValueError(f"bad {where}") from None

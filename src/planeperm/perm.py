@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .partitions import Partition
+from .partitions import Partition, _int_token
 
 __all__ = [
     "CycleDecomposition",
@@ -259,8 +259,8 @@ def cycle_from_sequence(seq: Sequence[int]) -> Permutation:
 
 
 def parse_sequence(text: str) -> tuple[int, ...]:
-    """Whitespace separated integers."""
+    """Whitespace separated integers, each an optional sign then ASCII digits."""
     try:
-        return tuple(int(tok) for tok in text.split())
+        return tuple(_int_token(tok) for tok in text.split())
     except ValueError as exc:
         raise ValueError(f"bad sequence {text!r}: {exc}") from None

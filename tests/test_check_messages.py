@@ -172,8 +172,8 @@ CASES = [
         enumeration, "exceedance_totals",
         lambda real: lambda m, k: (real(m, k)[0] + 1, real(m, k)[1]),
         lambda: suite_exceedance(2), 18, 3,
-        "m=1 k=1: counted exceedances 0 != closed form 1",
-        "m=2 k=2: counted exceedances 0 != closed form 1",
+        "m=1 k=1: exceedances 0, closed forms 1 and 0",
+        "m=2 k=2: exceedances 0, closed forms 1 and 0",
         id="exceedance-total",
     ),
     pytest.param(

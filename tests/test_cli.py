@@ -101,7 +101,55 @@ def test_distance_inputs_are_whitespace_separated():
     signed = run("distance", "rev-lb", "--", "-3,+2,+1")
     assert signed.exit_code == 2
     assert signed.stdout == ""
-    assert "signed entry needs an explicit sign: '-3,+2,+1'" in signed.stderr
+    assert "signed entry needs ASCII digits after its sign: '-3,+2,+1'" in signed.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ("distance", "bid", "2 1 3 4 5 6 7 8 9 1_0"),
+            "'2 1 3 4 5 6 7 8 9 1_0': bad sequence '2 1 3 4 5 6 7 8 9 1_0': "
+            "invalid literal for int() with base 10: '1_0'",
+        ),
+        (
+            ("distance", "bid", "\u0662 \u0661"),
+            "'\u0662 \u0661': bad sequence '\u0662 \u0661': "
+            "invalid literal for int() with base 10: '\u0662'",
+        ),
+        (
+            ("distance", "rev-lb", "--", "-1_0"),
+            "'-1_0': signed entry needs ASCII digits after its sign: '-1_0'",
+        ),
+        (
+            ("distance", "rev-lb", "--", "-\u0662 +1"),
+            "'-\u0662 +1': signed entry needs ASCII digits after its sign: '-\u0662'",
+        ),
+        (
+            ("distance", "rev-lb", "--", "1_0"),
+            "'1_0': signed entry needs an explicit sign: '1_0'",
+        ),
+        (("enumerate", "pk-lambda", "4", "--lam", "3+0_1"), "bad partition: '3+0_1'"),
+        (("enumerate", "pk-lambda", "3", "--lam", "\u0663"), "bad partition: '\u0663'"),
+        (("enumerate", "pk-lambda", "3", "--lam", "1^\u0663"), "bad partition chunk: '1^\u0663'"),
+    ],
+    ids=[
+        "bid-underscore",
+        "bid-non-ascii",
+        "rev-lb-underscore",
+        "rev-lb-non-ascii",
+        "rev-lb-unsigned",
+        "lam-underscore",
+        "lam-non-ascii",
+        "lam-chunk-non-ascii",
+    ],
+)
+def test_integer_tokens_are_a_sign_then_ascii_digits(args, message):
+    # ``int`` alone would read 1_0 as 10 and Arabic-Indic digits as 2, 1, 3.
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == f"Error: {message}"
 
 
 def test_distance_reads_input_file(tmp_path):
@@ -110,6 +158,17 @@ def test_distance_reads_input_file(tmp_path):
     result = run("distance", "bid", "--in", str(listing))
     assert result.exit_code == 0
     assert result.stdout == "bid 3 2 1 -> 1\nbid 1 2 3 -> 0\n"
+
+
+def test_distance_input_file_may_start_with_a_byte_order_mark(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(b"3 2 1\n2 1\n")
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf3 2 1\n2 1\n")
+    expected = run("distance", "bid", "--in", str(plain))
+    result = run("distance", "bid", "--in", str(marked))
+    assert (result.exit_code, result.stdout_bytes) == (0, expected.stdout_bytes)
+    assert expected.stdout == "bid 3 2 1 -> 1\nbid 2 1 -> 1\n"
 
 
 def test_distance_input_file_that_is_not_utf8_is_a_usage_error(tmp_path):

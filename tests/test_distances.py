@@ -367,6 +367,16 @@ def test_find_2_reversal_matches_the_object_reference():
             assert find_2_reversal(a) == reference_find_2_reversal(a), a
             checked += 1
     assert checked == 4282
+    # Seeded large rows reach both branches of the reference: m = −n, whose
+    # partner is the frame n + 1, and m > −n, whose partner is an entry.
+    rng = random.Random(29)
+    frames = 0
+    for n in (100, 300):
+        for _ in range(20):
+            a = tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), n))
+            assert find_2_reversal(a) == reference_find_2_reversal(a), a
+            frames += min(a) == -n
+    assert 0 < frames < 40
 
 
 def test_n_and_the_last_entry_share_an_odd_vertical_cycle():

@@ -144,17 +144,15 @@ def test_exceedance_totals():
             assert via_stirling == binomial(n, 2) * stirling_first(n - 1, k)
 
 
-def test_exceedance_totals_raises_under_optimize():
+def test_exceedance_suite_fails_under_optimize():
     # Force the two closed forms apart (every binomial reads 0) and run with
     # ``python -O``, which strips ``assert`` statements: the check must stay.
     script = (
         "import planeperm.enumeration as e\n"
         "assert False, 'assert statements are live'\n"
         "e.binomial = lambda n, k: 0\n"
-        "try:\n"
-        "    print('returned', e.exceedance_totals(3, 1))\n"
-        "except AssertionError as err:\n"
-        "    print('raised', err)\n"
+        "rep = e.suite_exceedance(3)\n"
+        "print(rep.passed, rep.failures[0])\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -162,7 +160,7 @@ def test_exceedance_totals_raises_under_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("raised exceedance totals disagree at n=3 k=1")
+    assert result.stdout == "False m=2 k=1: exceedances 1, closed forms 1 and 0\n"
 
 
 def test_exceedance_suite_reports_disagreeing_closed_forms(monkeypatch):
@@ -172,7 +170,7 @@ def test_exceedance_suite_reports_disagreeing_closed_forms(monkeypatch):
     rep = suite_exceedance(3)
     assert not rep.passed
     assert rep.checked == checked
-    assert "exceedance totals disagree at n=2 k=2: 0, 1" in rep.failures
+    assert "m=2 k=2: exceedances 0, closed forms 0 and 1" in rep.failures
 
 
 def test_ntae_identity():

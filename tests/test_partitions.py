@@ -69,6 +69,21 @@ def test_partition_rejects_bad_parts():
         assert str(err.value) == message
 
 
+def test_partition_parts_are_a_sign_then_ascii_digits():
+    # ``int`` alone reads 0_1 as 1 and the Arabic-Indic digit three as 3.
+    for text, message in (
+        ("3+0_1", "bad partition: '3+0_1'"),
+        ("\u0663", "bad partition: '\u0663'"),
+        ("2^1_0", "bad partition chunk: '2^1_0'"),
+        ("\u0661^3", "bad partition chunk: '\u0661^3'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            Partition.from_string(text)
+        assert str(err.value) == message
+    # Spaces around the parts of the "+" form are not part of a token.
+    assert Partition.from_string(" 2 + 1 ") == Partition.of([2, 1])
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
