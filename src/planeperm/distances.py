@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -29,7 +29,7 @@ from .enumeration import xi
 from .partitions import _int_token, exact_div
 from .perm import Permutation, _cycle_map, array_cycle_counts, count_cycles, parse_sequence
 from .plane import BlockInterchange, TransposeCase, _case, _row_tables, swap_blocks
-from .report import VerifyReport, merge_reports, size_gate, summed
+from .report import Suite, VerifyReport, size_gate, summed
 
 DEFAULT_BFS_CAP = 10**7
 
@@ -582,20 +582,10 @@ def check_bid_histogram_at(n: int) -> VerifyReport:
     return report
 
 
-def suite_bid_oracle(n: int) -> VerifyReport:
-    """BFS equality, scenario replay, and the distance histogram, for sizes up to n."""
-    size_gate("bid-oracle", n, 7)
-    parts = []
-    for m in range(1, n + 1):
-        parts.append(check_bid_bfs_at(m))
-        parts.append(check_bid_histogram_at(m))
-        parts.append(check_bid_replay_at(m))
-    merged = merge_reports(f"bid-oracle-n{n}", parts)
-    merged.info.update(summed(parts, "states"))
+def _bid_totals(parts: list[VerifyReport]) -> dict:
     histograms = [part.info["histogram"] for part in parts if "histogram" in part.info]
-    for m, histogram in enumerate(histograms, start=1):
-        merged.info[f"histogram_n{m}"] = histogram
-    return merged
+    by_size = {f"histogram_n{m}": histogram for m, histogram in enumerate(histograms, 1)}
+    return {**summed(parts, "states"), **by_size}
 
 
 def check_td_bound_at(n: int) -> VerifyReport:
@@ -612,14 +602,6 @@ def check_td_bound_at(n: int) -> VerifyReport:
         )
     report.info["tight"] = tight
     return report
-
-
-def suite_td_oracle(n: int) -> VerifyReport:
-    size_gate("td-oracle", n, 9)
-    parts = [check_td_bound_at(m) for m in range(1, n + 1)]
-    merged = merge_reports(f"td-oracle-n{n}", parts)
-    merged.info.update(summed(parts, "tight"))
-    return merged
 
 
 def check_rev_bounds_at(n: int) -> VerifyReport:
@@ -643,26 +625,44 @@ def check_rev_bounds_at(n: int) -> VerifyReport:
     return report
 
 
-def suite_rev_oracle(n: int) -> VerifyReport:
-    size_gate("rev-oracle", n, 7)
-    parts = [check_rev_bounds_at(m) for m in range(1, n + 1)]
-    merged = merge_reports(f"rev-oracle-n{n}", parts)
-    merged.info.update(summed(parts, "states", "tight"))
-    merged.info["tight_rate"] = f"{merged.info['tight']}/{merged.checked}"
-    merged.info.update(summed(parts, "breakpoint_disagreements"))
-    return merged
+def _rev_totals(parts: list[VerifyReport]) -> dict:
+    totals = summed(parts, "states", "tight")
+    totals["tight_rate"] = f"{totals['tight']}/{sum(part.checked for part in parts)}"
+    return {**totals, **summed(parts, "breakpoint_disagreements")}
 
 
-def suite_max_gap(n: int) -> VerifyReport:
-    """Closed-form cycle gap versus brute force on every permutation up to n."""
-    size_gate("max-gap", n, 6)
-    report = VerifyReport(f"max-gap-n{n}")
-    for m in range(1, n + 1):
-        for images in itertools.permutations(range(1, m + 1)):
-            alpha = Permutation.from_one_line(images)
-            closed, brute = max_cycle_gap(alpha), brute_max_cycle_gap(alpha)
-            report.check(
-                closed == brute,
-                lambda: f"gap mismatch at {images!r}: {closed} vs {brute}",
-            )
+def check_max_gap_at(n: int) -> VerifyReport:
+    """Closed-form cycle gap versus brute force on every permutation of size n."""
+    report = VerifyReport(f"max-cycle-gap-n{n}")
+    for images in itertools.permutations(range(1, n + 1)):
+        alpha = Permutation.from_one_line(images)
+        closed, brute = max_cycle_gap(alpha), brute_max_cycle_gap(alpha)
+        report.check(closed == brute, lambda: f"gap mismatch at {images!r}: {closed} vs {brute}")
     return report
+
+
+# The suites, in the order the command line lists them.  bid-oracle checks BFS
+# equality, the distance histogram and scenario replay at each size.
+suite_bid_oracle = Suite(
+    "bid-oracle", "bid-oracle-n{n}", 7,
+    lambda n: [
+        partial(check, m)
+        for m in range(1, n + 1)
+        for check in (check_bid_bfs_at, check_bid_histogram_at, check_bid_replay_at)
+    ],
+    totals=_bid_totals,
+)
+suite_rev_oracle = Suite(
+    "rev-oracle", "rev-oracle-n{n}", 7,
+    lambda n: [partial(check_rev_bounds_at, m) for m in range(1, n + 1)],
+    totals=_rev_totals,
+)
+suite_td_oracle = Suite(
+    "td-oracle", "td-oracle-n{n}", 9,
+    lambda n: [partial(check_td_bound_at, m) for m in range(1, n + 1)],
+    totals=lambda parts: summed(parts, "tight"),
+)
+suite_max_gap = Suite(
+    "max-gap", "max-gap-n{n}", 6,
+    lambda n: [partial(check_max_gap_at, m) for m in range(1, n + 1)],
+)

@@ -30,7 +30,7 @@ from .partitions import (
 from .perm import Permutation, _array_cycle_type, _cycle_map, count_cycles
 from .plane import PlanePermutation, _anchored_rows, _ntaes, _row_tables
 from .plane import _glue, _rows_of, _slice
-from .report import VerifyReport, merge_reports, pmap, size_gate, summed
+from .report import Suite, VerifyReport, size_gate, summed
 
 # The six table suites tabulate every cycle type at every size up to N.
 TABLE_SUITE_GATE = 8
@@ -224,19 +224,16 @@ def zagier_stanley_check(n: int) -> VerifyReport:
     return rep
 
 
-def verify_stirling_recurrence(n_max: int) -> VerifyReport:
+def check_stirling_recurrence_at(n: int) -> VerifyReport:
     """The same shape of recurrence, satisfied by the unsigned Stirling
-    numbers of the first kind themselves; checked for every ``n <= n_max``
-    and every ``1 <= k <= n + 1``."""
-    size_gate("stirling", n_max, 240)
-    rep = VerifyReport(f"stirling-recurrence n<={n_max}")
-    for n in range(1, n_max + 1):
-        upper = [stirling_first(n + 1, k) for k in range(n + 2)]
-        for k in range(1, n + 2):
-            lhs = (n + 1 - k) * upper[k]
-            rhs = _higher_cycles(upper.__getitem__, n + 1, k)
-            rhs += binomial(n + 1, 2) * stirling_first(n, k)
-            rep.check(lhs == rhs, lambda: f"n={n} k={k}: {lhs} != {rhs}")
+    numbers of the first kind themselves; checked for every ``1 <= k <= n + 1``."""
+    rep = VerifyReport(f"stirling-recurrence n={n}")
+    upper = [stirling_first(n + 1, k) for k in range(n + 2)]
+    for k in range(1, n + 2):
+        lhs = (n + 1 - k) * upper[k]
+        rhs = _higher_cycles(upper.__getitem__, n + 1, k)
+        rhs += binomial(n + 1, 2) * stirling_first(n, k)
+        rep.check(lhs == rhs, lambda: f"n={n} k={k}: {lhs} != {rhs}")
     return rep
 
 
@@ -525,21 +522,6 @@ def verify_bijection(diag: Permutation) -> VerifyReport:
     return rep
 
 
-def suite_bijection(n: int, *, jobs: int = 1) -> VerifyReport:
-    """Slice/glue bijection over every diagonal of every size up to ``n``."""
-    size_gate("bijection", n, 7)
-    diagonals = [
-        Permutation(tuple(range(1, m + 1)), images)
-        for m in range(1, n + 1)
-        for images in itertools.permutations(range(1, m + 1))
-    ]
-    parts = pmap(verify_bijection, diagonals, jobs)
-    rep = merge_reports(f"bijection n<={n}", parts)
-    rep.info["diagonals"] = len(diagonals)
-    rep.info.update(summed(parts, "y1", "y2", "y3"))
-    return rep
-
-
 # -- matchings as diagonals --------------------------------------------
 
 
@@ -595,69 +577,26 @@ def verify_trisection(diag: Permutation) -> VerifyReport:
     return rep
 
 
-def suite_trisection(m_max: int, *, jobs: int = 1) -> VerifyReport:
-    """Genus checks over every matching diagonal on ``2, 4, .., 2*m_max``."""
-    size_gate("trisection", m_max, 4)
-    matchings = [
-        Permutation.from_cycles(pairs)
-        for m in range(1, m_max + 1)
-        for pairs in _pairings(list(range(2 * m)))
-    ]
-    parts = pmap(verify_trisection, matchings, jobs)
-    rep = merge_reports(f"trisection m<={m_max}", parts)
-    rep.info["pairings"] = len(matchings)
-    return rep
-
-
 # -- sweeps used by the command line and the test suite -----------------
 
 
-def suite_ntae_identity(n: int) -> VerifyReport:
-    size_gate("ntae-identity", n, TABLE_SUITE_GATE)
-    parts = [
-        verify_ntae_identity(m, lam, k)
-        for m in range(1, n + 1)
-        for lam in partitions_of(m)
-        for k in range(1, m + 1)
-    ]
-    return merge_reports(f"ntae-identity n<={n}", parts)
-
-
-def suite_f_recurrence(n: int) -> VerifyReport:
-    """All valid type pairs, plus the parity filter on the invalid counts."""
-    size_gate("f-recurrence", n, TABLE_SUITE_GATE)
-    parts = []
+def check_parity_filter(n: int) -> VerifyReport:
+    """Every count whose type pair breaks the parity rule is zero."""
     parity = VerifyReport("parity filter")
     for m in range(1, n + 1):
         shapes = list(partitions_of(m))
         for eta in shapes:
             for lam in shapes:
-                if len(eta) + len(lam) < m + 1:
-                    parts.append(verify_f_recurrence(m, eta, lam))
                 if (len(eta) + len(lam)) % 2 != (m - 1) % 2:
                     parity.check(
                         tabulate(m, lam).f(eta) == 0,
                         lambda: f"m={m} eta={eta} lam={lam}: parity-violating count is nonzero",
                     )
-    parts.append(parity)
-    return merge_reports(f"f-recurrence n<={n}", parts)
+    return parity
 
 
-def suite_cycle_recurrence(n: int) -> VerifyReport:
-    size_gate("cycle-recurrence", n, TABLE_SUITE_GATE)
-    parts = [
-        verify_cycle_recurrence(m, lam, k)
-        for m in range(1, n + 1)
-        for lam in partitions_of(m)
-        for k in range(1, m + 1 - len(lam))
-    ]
-    return merge_reports(f"cycle-recurrence n<={n}", parts)
-
-
-def suite_zagier_stanley(n: int) -> VerifyReport:
-    """Closed form, recurrence, and the full-cycle-diagonal cross-check."""
-    size_gate("zagier-stanley", n, TABLE_SUITE_GATE)
-    parts = [zagier_stanley_check(m) for m in range(1, n + 1)]
+def check_xi_tabulated(n: int) -> VerifyReport:
+    """:func:`xi` against the count table of the full-cycle diagonal, up to ``n``."""
     cross = VerifyReport("xi vs tabulated full-cycle diagonal")
     for m in range(1, n + 1):
         table = tabulate(m, Partition.of([m]))
@@ -666,100 +605,163 @@ def suite_zagier_stanley(n: int) -> VerifyReport:
                 xi(m, k) == table.p_k(k),
                 lambda: f"m={m} k={k}: xi={xi(m, k)} tabulated={table.p_k(k)}",
             )
-    parts.append(cross)
-    return merge_reports(f"zagier-stanley n<={n}", parts)
+    return cross
 
 
-def suite_exceedance(n: int) -> VerifyReport:
+def check_exceedance_at(m: int) -> VerifyReport:
     """Exceedance totals and the transfer between ordinary and plane counts."""
-    size_gate("exceedance", n, TABLE_SUITE_GATE)
-    rep = VerifyReport(f"exceedance n<={n}")
-    for m in range(1, n + 1):
-        by_ak, by_akl = _ordinary_tables(m)
-        for k in range(1, m + 1):
-            total_a = sum(a * c for (a, kk), c in by_ak.items() if kk == k)
-            direct, product = exceedance_totals(m, k)
-            rep.check(
-                total_a == direct == product,
-                lambda: f"m={m} k={k}: exceedances {total_a}, closed forms {direct} and {product}",
-            )
-            lhs = sum((m - a - k) * c for (a, kk), c in by_ak.items() if kk == k)
-            rhs = _higher_cycles(partial(stirling_first, m), m, k)
-            rep.check(lhs == rhs, lambda: f"m={m} k={k}: anti-exceedance total {lhs} != {rhs}")
+    rep = VerifyReport(f"exceedance n={m}")
+    by_ak, by_akl = _ordinary_tables(m)
+    for k in range(1, m + 1):
+        total_a = sum(a * c for (a, kk), c in by_ak.items() if kk == k)
+        direct, product = exceedance_totals(m, k)
         rep.check(
-            by_ak.get((0, m), 0) == 1,
-            f"m={m}: the identity should be the only exceedance-free permutation",
+            total_a == direct == product,
+            lambda: f"m={m} k={k}: exceedances {total_a}, closed forms {direct} and {product}",
         )
-        if m >= 2:
-            rep.check(
-                by_ak.get((1, m - 1), 0) == binomial(m, 2),
-                f"m={m}: single-exceedance count should be the transposition count",
-            )
-        fact = factorial(m - 1)
-        for lam in partitions_of(m):
-            table = tabulate(m, lam)
-            ql = q_lambda(lam)
-            for a in range(m):
-                for k in range(1, m + 1):
-                    plane_count = table.p_a_k(a, k)
-                    ordinary = by_akl.get((a, k, lam.parts), 0)
-                    rep.check(
-                        ql * plane_count == fact * ordinary,
-                        lambda: (
-                            f"m={m} lam={lam} a={a} k={k}: "
-                            f"transfer {plane_count} vs {ordinary} failed"
-                        ),
-                    )
-    return rep
-
-
-def suite_p1(n: int) -> VerifyReport:
-    size_gate("p1", n, TABLE_SUITE_GATE)
-    rep = VerifyReport(f"p1 n<={n}")
-    for m in range(1, n + 1):
-        for lam in partitions_of(m):
-            routes = p1_routes(m, lam)
-            rep.check(
-                len(set(routes.values())) == 1,
-                lambda: f"m={m} lam={lam}: routes disagree {routes}",
-            )
-            if (m - len(lam)) % 2:
+        lhs = sum((m - a - k) * c for (a, kk), c in by_ak.items() if kk == k)
+        rhs = _higher_cycles(partial(stirling_first, m), m, k)
+        rep.check(lhs == rhs, lambda: f"m={m} k={k}: anti-exceedance total {lhs} != {rhs}")
+    rep.check(
+        by_ak.get((0, m), 0) == 1,
+        f"m={m}: the identity should be the only exceedance-free permutation",
+    )
+    if m >= 2:
+        rep.check(
+            by_ak.get((1, m - 1), 0) == binomial(m, 2),
+            f"m={m}: single-exceedance count should be the transposition count",
+        )
+    fact = factorial(m - 1)
+    for lam in partitions_of(m):
+        table = tabulate(m, lam)
+        ql = q_lambda(lam)
+        for a in range(m):
+            for k in range(1, m + 1):
+                plane_count = table.p_a_k(a, k)
+                ordinary = by_akl.get((a, k, lam.parts), 0)
                 rep.check(
-                    routes["alternating"] == 0,
-                    lambda: f"m={m} lam={lam}: parity-violating count is nonzero",
+                    ql * plane_count == fact * ordinary,
+                    lambda: (
+                        f"m={m} lam={lam} a={a} k={k}: "
+                        f"transfer {plane_count} vs {ordinary} failed"
+                    ),
                 )
     return rep
 
 
-def suite_w_identities(n: int) -> VerifyReport:
+def check_p1_at(m: int) -> VerifyReport:
+    """The three routes to p_1 agree, and the parity-violating ones are zero."""
+    rep = VerifyReport(f"p1 n={m}")
+    for lam in partitions_of(m):
+        routes = p1_routes(m, lam)
+        rep.check(
+            len(set(routes.values())) == 1,
+            lambda: f"m={m} lam={lam}: routes disagree {routes}",
+        )
+        if (m - len(lam)) % 2:
+            rep.check(
+                routes["alternating"] == 0,
+                lambda: f"m={m} lam={lam}: parity-violating count is nonzero",
+            )
+    return rep
+
+
+def check_w_identities_at(m: int) -> VerifyReport:
     """Symmetries of the type-product counts, and their full-cycle margin."""
-    size_gate("w-identities", n, 6)
-    rep = VerifyReport(f"w-identities n<={n}")
-    for m in range(1, n + 1):
-        shapes = list(partitions_of(m))
-        ones = Partition.of([1] * m)
-        for lam in shapes:
-            ql = q_lambda(lam)
-            for mu in shapes:
-                qm = q_lambda(mu)
-                for eta in shapes:
-                    w = W_count(lam, mu, eta)
-                    rep.check(
-                        w == W_count(lam, eta, mu),
-                        lambda: f"m={m} lam={lam}: swapping {mu} and {eta} changed the count",
-                    )
-                    rep.check(
-                        ql * w == qm * W_count(mu, lam, eta),
-                        lambda: f"m={m}: weighted transfer {lam}/{mu} at {eta} failed",
-                    )
+    rep = VerifyReport(f"w-identities n={m}")
+    shapes = list(partitions_of(m))
+    ones = Partition.of([1] * m)
+    for lam in shapes:
+        ql = q_lambda(lam)
+        for mu in shapes:
+            qm = q_lambda(mu)
+            for eta in shapes:
+                w = W_count(lam, mu, eta)
                 rep.check(
-                    W_count(lam, mu, ones) == (1 if mu == lam else 0),
-                    lambda: f"m={m} lam={lam} mu={mu}: identity margin should be 0/1",
+                    w == W_count(lam, eta, mu),
+                    lambda: f"m={m} lam={lam}: swapping {mu} and {eta} changed the count",
                 )
-        full = Partition.of([m])
-        for k in range(1, m + 1):
-            total = sum(
-                W_count(full, full, eta) for eta in partitions_of(m) if len(eta) == k
+                rep.check(
+                    ql * w == qm * W_count(mu, lam, eta),
+                    lambda: f"m={m}: weighted transfer {lam}/{mu} at {eta} failed",
+                )
+            rep.check(
+                W_count(lam, mu, ones) == (1 if mu == lam else 0),
+                lambda: f"m={m} lam={lam} mu={mu}: identity margin should be 0/1",
             )
-            rep.check(total == xi(m, k), lambda: f"m={m} k={k}: margin {total} != xi {xi(m, k)}")
+    full = Partition.of([m])
+    for k in range(1, m + 1):
+        total = sum(W_count(full, full, eta) for eta in partitions_of(m) if len(eta) == k)
+        rep.check(total == xi(m, k), lambda: f"m={m} k={k}: margin {total} != xi {xi(m, k)}")
     return rep
+
+
+# -- the verify suites, in the order the command line lists them -------
+
+suite_ntae_identity = Suite(
+    "ntae-identity", "ntae-identity n<={n}", TABLE_SUITE_GATE,
+    lambda n: [
+        partial(verify_ntae_identity, m, lam, k)
+        for m in range(1, n + 1) for lam in partitions_of(m) for k in range(1, m + 1)
+    ],
+)
+# All valid type pairs, then the parity filter on the invalid counts; n=1 has neither.
+suite_f_recurrence = Suite(
+    "f-recurrence", "f-recurrence n<={n}", TABLE_SUITE_GATE,
+    lambda n: [
+        partial(verify_f_recurrence, m, eta, lam)
+        for m in range(1, n + 1) for eta in partitions_of(m) for lam in partitions_of(m)
+        if len(eta) + len(lam) < m + 1
+    ] + [partial(check_parity_filter, n)],
+    floor=2,
+)
+suite_cycle_recurrence = Suite(
+    "cycle-recurrence", "cycle-recurrence n<={n}", TABLE_SUITE_GATE,
+    lambda n: [
+        partial(verify_cycle_recurrence, m, lam, k)
+        for m in range(1, n + 1) for lam in partitions_of(m) for k in range(1, m + 1 - len(lam))
+    ],
+    floor=2,
+)
+verify_stirling_recurrence = Suite(
+    "stirling", "stirling-recurrence n<={n}", 240,
+    lambda n: [partial(check_stirling_recurrence_at, m) for m in range(1, n + 1)],
+)
+# Closed form and recurrence at each size, then the full-cycle-diagonal cross-check.
+suite_zagier_stanley = Suite(
+    "zagier-stanley", "zagier-stanley n<={n}", TABLE_SUITE_GATE,
+    lambda n: [partial(zagier_stanley_check, m) for m in range(1, n + 1)]
+    + [partial(check_xi_tabulated, n)],
+)
+# Genus checks over every matching diagonal on 2, 4, .., 2n labels.
+suite_trisection = Suite(
+    "trisection", "trisection m<={n}", 4,
+    lambda n: [
+        partial(verify_trisection, Permutation.from_cycles(pairs))
+        for m in range(1, n + 1) for pairs in _pairings(list(range(2 * m)))
+    ],
+    totals=lambda parts: {"pairings": len(parts)},
+)
+# Slice/glue bijection over every diagonal of every size up to n; below 3
+# labels no plane has a non-trivial anti-exceedance or three cycles.
+suite_bijection = Suite(
+    "bijection", "bijection n<={n}", 7,
+    lambda n: [
+        partial(verify_bijection, Permutation(tuple(range(1, m + 1)), images))
+        for m in range(1, n + 1) for images in itertools.permutations(range(1, m + 1))
+    ],
+    floor=3,
+    totals=lambda parts: {"diagonals": len(parts), **summed(parts, "y1", "y2", "y3")},
+)
+suite_exceedance = Suite(
+    "exceedance", "exceedance n<={n}", TABLE_SUITE_GATE,
+    lambda n: [partial(check_exceedance_at, m) for m in range(1, n + 1)],
+)
+suite_p1 = Suite(
+    "p1", "p1 n<={n}", TABLE_SUITE_GATE,
+    lambda n: [partial(check_p1_at, m) for m in range(1, n + 1)],
+)
+suite_w_identities = Suite(
+    "w-identities", "w-identities n<={n}", 6,
+    lambda n: [partial(check_w_identities_at, m) for m in range(1, n + 1)],
+)

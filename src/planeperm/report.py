@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Callable, Iterable, Sequence, TypeVar
 
 MAX_STORED_FAILURES = 50
@@ -15,6 +16,10 @@ class EnumerationLimitError(RuntimeError):
     """An exhaustive check or count was asked for a size above its gate."""
 
 
+class NothingToCheck(ValueError):
+    """A suite was asked for a size at which none of its parts checks anything."""
+
+
 @dataclass
 class VerifyReport:
     """Outcome of one verification sweep.
@@ -22,8 +27,8 @@ class VerifyReport:
     ``checked`` counts individual assertions, ``failure_count`` the ones
     that did not hold.  Only the first few failure descriptions are kept.
     ``info`` carries side observations (rates, totals) that do not affect
-    the verdict; merging leaves it to the caller, which knows how the parts'
-    observations add up.
+    the verdict; merging leaves it to the suite's ``totals``, which know how
+    the parts' observations add up.
     """
 
     name: str
@@ -109,3 +114,31 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list[R]:
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(min(jobs, len(items))) as pool:
         return pool.map(fn, items)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A verification suite: ``parts(n)`` lists zero-argument checks, each a
+    ``functools.partial`` of a top-level function so that it pickles for
+    ``jobs > 1``.  A call refuses ``n`` above ``gate``, or below ``floor``
+    (where no part checks anything), before any work; then it merges the
+    parts' reports under ``title.format(n=n)`` and adds ``totals(parts)`` to ``info``."""
+
+    name: str
+    title: str
+    gate: int
+    parts: Callable[[int], list[Callable[[], VerifyReport]]]
+    floor: int = 1
+    totals: Callable[[list[VerifyReport]], dict] = lambda parts: {}
+
+    def run(self, n: int, jobs: int = 1) -> VerifyReport:
+        size_gate(self.name, n, self.gate)
+        title = self.title.format(n=n)
+        if n < self.floor:
+            raise NothingToCheck(f"{title} checks nothing; pick a larger N")
+        parts = pmap(methodcaller("__call__"), self.parts(n), jobs)
+        report = merge_reports(title, parts)
+        report.info.update(self.totals(parts))
+        return report
+
+    __call__ = run

@@ -167,7 +167,7 @@ def test_criterion_09_conjectures():
 
 def test_criterion_10_invariants():
     """Structural sweep: every plane invariant, exhaustive to n=6 plus 100k
-    random planes at n=12."""
+    random planes on 4 to 12 labels."""
     started = time.perf_counter()
     from planeperm.plane import invariant_sweep
 

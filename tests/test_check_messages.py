@@ -105,8 +105,8 @@ CASES = [
     pytest.param(
         enumeration, "_higher_cycles", plus(lambda f, n, k: 1),
         lambda: verify_stirling_recurrence(3), 9, 9,
-        "n=1 k=1: 1 != 2",
-        "n=3 k=4: 0 != 1",
+        "stirling-recurrence n=1: n=1 k=1: 1 != 2",
+        "stirling-recurrence n=3: n=3 k=4: 0 != 1",
         id="stirling-recurrence",
     ),
     pytest.param(
@@ -172,65 +172,65 @@ CASES = [
         enumeration, "exceedance_totals",
         lambda real: lambda m, k: (real(m, k)[0] + 1, real(m, k)[1]),
         lambda: suite_exceedance(2), 18, 3,
-        "m=1 k=1: exceedances 0, closed forms 1 and 0",
-        "m=2 k=2: exceedances 0, closed forms 1 and 0",
+        "exceedance n=1: m=1 k=1: exceedances 0, closed forms 1 and 0",
+        "exceedance n=2: m=2 k=2: exceedances 0, closed forms 1 and 0",
         id="exceedance-total",
     ),
     pytest.param(
         enumeration, "_ordinary_tables", one_more_exceedance_free_cycle,
         lambda: suite_exceedance(2), 18, 1,
-        "m=2 k=1: anti-exceedance total 1 != 0",
-        "m=2 k=1: anti-exceedance total 1 != 0",
+        "exceedance n=2: m=2 k=1: anti-exceedance total 1 != 0",
+        "exceedance n=2: m=2 k=1: anti-exceedance total 1 != 0",
         id="anti-exceedance-total",
     ),
     pytest.param(
         CountTable, "p_a_k", plus(lambda table, a, k: 1),
         lambda: suite_exceedance(2), 18, 9,
-        "m=1 lam=1 a=0 k=1: transfer 2 vs 1 failed",
-        "m=2 lam=1+1 a=1 k=2: transfer 1 vs 0 failed",
+        "exceedance n=1: m=1 lam=1 a=0 k=1: transfer 2 vs 1 failed",
+        "exceedance n=2: m=2 lam=1+1 a=1 k=2: transfer 1 vs 0 failed",
         id="exceedance-transfer",
     ),
     pytest.param(
         enumeration, "_p1_alternating", plus(lambda m, lam: 1),
         lambda: suite_p1(3), 8, 8,
-        "m=1 lam=1: routes disagree {'alternating': 2, 'product': 1, 'enumerated': 1}",
-        "m=3 lam=1+1+1: routes disagree {'alternating': 3, 'product': 2, 'enumerated': 2}",
+        "p1 n=1: m=1 lam=1: routes disagree {'alternating': 2, 'product': 1, 'enumerated': 1}",
+        "p1 n=3: m=3 lam=1+1+1: routes disagree {'alternating': 3, 'product': 2, 'enumerated': 2}",
         id="p1-routes",
     ),
     pytest.param(
         enumeration, "p1_routes",
         lambda real: lambda m, lam: {k: v + 1 for k, v in real(m, lam).items()},
         lambda: suite_p1(3), 8, 2,
-        "m=2 lam=2: parity-violating count is nonzero",
-        "m=3 lam=2+1: parity-violating count is nonzero",
+        "p1 n=2: m=2 lam=2: parity-violating count is nonzero",
+        "p1 n=3: m=3 lam=2+1: parity-violating count is nonzero",
         id="p1-parity",
     ),
     pytest.param(
         enumeration, "W_count", plus(lambda lam, mu, eta: mu.parts < eta.parts),
         lambda: suite_w_identities(2), 26, 6,
-        "m=2 lam=2: swapping 2 and 1+1 changed the count",
-        "m=2 lam=1+1: swapping 1+1 and 2 changed the count",
+        "w-identities n=2: m=2 lam=2: swapping 2 and 1+1 changed the count",
+        "w-identities n=2: m=2 lam=1+1: swapping 1+1 and 2 changed the count",
         id="w-swap",
     ),
     pytest.param(
         enumeration, "W_count", plus(lambda lam, mu, eta: len(lam) - 1),
         lambda: suite_w_identities(2), 26, 6,
-        "m=2: weighted transfer 2/1+1 at 2 failed",
-        "m=2 lam=1+1 mu=1+1: identity margin should be 0/1",
+        "w-identities n=2: m=2: weighted transfer 2/1+1 at 2 failed",
+        "w-identities n=2: m=2 lam=1+1 mu=1+1: identity margin should be 0/1",
         id="w-transfer",
     ),
     pytest.param(
         enumeration, "W_count", plus(lambda lam, mu, eta: lam == mu == eta),
         lambda: suite_w_identities(2), 26, 4,
-        "m=1 lam=1 mu=1: identity margin should be 0/1",
-        "m=2 k=1: margin 1 != xi 0",
+        "w-identities n=1: m=1 lam=1 mu=1: identity margin should be 0/1",
+        "w-identities n=2: m=2 k=1: margin 1 != xi 0",
         id="w-identity-margin",
     ),
     pytest.param(
         enumeration, "xi", plus(lambda m, k: 1),
         lambda: suite_w_identities(2), 26, 3,
-        "m=1 k=1: margin 1 != xi 2",
-        "m=2 k=2: margin 1 != xi 2",
+        "w-identities n=1: m=1 k=1: margin 1 != xi 2",
+        "w-identities n=2: m=2 k=2: margin 1 != xi 2",
         id="w-xi-margin",
     ),
     pytest.param(
@@ -278,8 +278,8 @@ CASES = [
     pytest.param(
         distances, "max_cycle_gap", plus(lambda alpha: 1),
         lambda: suite_max_gap(3), 9, 9,
-        "gap mismatch at (1,): 1 vs 0",
-        "gap mismatch at (3, 2, 1): 2 vs 1",
+        "max-cycle-gap-n1: gap mismatch at (1,): 1 vs 0",
+        "max-cycle-gap-n3: gap mismatch at (3, 2, 1): 2 vs 1",
         id="max-gap",
     ),
 ]

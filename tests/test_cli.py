@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import planeperm.cli as cli
 from planeperm.cli import main
 from planeperm.distances import DEFAULT_BFS_CAP
-from planeperm.report import VerifyReport
+from planeperm.report import NothingToCheck, Suite, VerifyReport
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -182,6 +182,26 @@ def test_distance_input_file_that_is_not_utf8_is_a_usage_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "data, at",
+    [
+        # past the decoder's first buffer, which once restarted the count
+        pytest.param(b"3 2 1\n" * 5000 + b"\xff\n", 30000, id="byte-30000"),
+        # the byte-order mark is counted
+        pytest.param(b"\xef\xbb\xbf\xff\n", 3, id="after-mark"),
+    ],
+)
+def test_distance_input_file_names_the_first_byte_that_is_not_utf8(tmp_path, data, at):
+    listing = tmp_path / "perms.txt"
+    listing.write_bytes(data)
+    result = run("distance", "bid", "--in", str(listing))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        f"Error: {str(listing)!r} is not UTF-8 text: invalid start byte at byte {at}"
+    )
+
+
 def test_distance_json_record():
     result = run("--format", "json", "distance", "bid", "3 2 1", "--oracle")
     assert result.exit_code == 0
@@ -325,13 +345,15 @@ def test_verify_unknown_suite():
     assert run("verify", "everything", "3").exit_code == 2
 
 
-def test_verify_failure_exits_one(monkeypatch):
-    def broken(n, settings):
-        rep = VerifyReport("broken")
-        rep.check(False, "forced failure")
-        return rep
+def _forced_failure():
+    rep = VerifyReport("broken")
+    rep.check(False, "forced failure")
+    return rep
 
-    monkeypatch.setitem(cli.SUITE_RUNNERS, "stirling", broken)
+
+def test_verify_failure_exits_one(monkeypatch):
+    broken = Suite("stirling", "broken", 240, lambda n: [_forced_failure])
+    monkeypatch.setitem(cli.SUITES, "stirling", broken)
     result = run("verify", "stirling", "3")
     assert result.exit_code == 1
     assert result.stdout.startswith("FAIL ")
@@ -366,20 +388,7 @@ def test_verify_rev_oracle_cap_is_an_error():
 
 # (command, name in the message, gate)
 SIZE_GATES = [
-    (("verify", "ntae-identity"), "ntae-identity", 8),
-    (("verify", "f-recurrence"), "f-recurrence", 8),
-    (("verify", "cycle-recurrence"), "cycle-recurrence", 8),
-    (("verify", "zagier-stanley"), "zagier-stanley", 8),
-    (("verify", "exceedance"), "exceedance", 8),
-    (("verify", "p1"), "p1", 8),
-    (("verify", "trisection"), "trisection", 4),
-    (("verify", "bijection"), "bijection", 7),
-    (("verify", "w-identities"), "w-identities", 6),
-    (("verify", "max-gap"), "max-gap", 6),
-    (("verify", "bid-oracle"), "bid-oracle", 7),
-    (("verify", "rev-oracle"), "rev-oracle", 7),
-    (("verify", "td-oracle"), "td-oracle", 9),
-    (("verify", "stirling"), "stirling", 240),
+    *((("verify", name), name, suite.gate) for name, suite in cli.SUITES.items()),
     (("enumerate", "xi"), "enumerate xi", 1000),
     (("enumerate", "stirling"), "enumerate stirling", 1000),
     (("enumerate", "bid-k"), "enumerate bid-k", 1000),
@@ -438,13 +447,12 @@ def test_verify_n_below_one_is_a_usage_error():
         assert "Invalid value for 'N'" in result.stderr
 
 
-@pytest.mark.parametrize("suite", tuple(cli.SUITE_RUNNERS))
+@pytest.mark.parametrize("suite", tuple(cli.SUITES))
 def test_suites_refuse_n_below_one_in_the_library(suite):
     # called directly, with no IntRange in front, a suite must not pass vacuously
-    settings = cli.Settings(fmt="text", jobs=1, out=None)
     for n in (0, -1):
         with pytest.raises(ValueError, match=rf"^n must be at least 1, got {n}$"):
-            cli.SUITE_RUNNERS[suite](n, settings)
+            cli.SUITES[suite](n)
 
 
 def test_verify_checking_nothing_is_a_usage_error():
@@ -461,15 +469,17 @@ def test_verify_checking_nothing_is_a_usage_error():
 
 
 def test_suites_called_directly_check_nothing_at_exactly_these_sizes():
-    # the library returns these reports as a PASS with checked=0; the CLI
-    # refuses the same four sizes above
-    settings = cli.Settings(fmt="text", jobs=1, out=None)
-    empty = {
-        (suite, n)
-        for suite, runner in cli.SUITE_RUNNERS.items()
-        for n in (1, 2)
-        if runner(n, settings).checked == 0
-    }
+    # the library refuses these sizes before any work, as the CLI does above
+    empty = set()
+    for name, suite in cli.SUITES.items():
+        for n in (1, 2):
+            started = time.perf_counter()
+            try:
+                suite(n)
+            except NothingToCheck as err:
+                assert time.perf_counter() - started < 1.0
+                assert str(err) == f"{suite.title.format(n=n)} checks nothing; pick a larger N"
+                empty.add((name, n))
     assert empty == {
         ("f-recurrence", 1),
         ("cycle-recurrence", 1),
@@ -529,6 +539,15 @@ def test_jobs_do_not_change_bytes():
     assert serial.stdout == parallel.stdout
 
 
+@pytest.mark.parametrize("suite", tuple(cli.SUITES))
+def test_jobs_do_not_change_the_json_of_any_suite(suite):
+    n = str(max(cli.SUITES[suite].floor, 3))
+    serial = run("--format", "json", "--jobs", "1", "verify", suite, n)
+    parallel = run("--format", "json", "--jobs", "2", "verify", suite, n)
+    assert serial.exit_code == parallel.exit_code == 0
+    assert serial.stdout_bytes == parallel.stdout_bytes
+
+
 def test_jobs_below_one_is_a_usage_error():
     for jobs in ("0", "-2"):
         result = run("--jobs", jobs, "verify", "stirling", "5")
@@ -539,8 +558,9 @@ def test_jobs_below_one_is_a_usage_error():
 
 def test_cap_and_out_are_checked_before_any_work(tmp_path, monkeypatch):
     ran = []
-    runners = {name: lambda n, s, name=name: ran.append(name) for name in cli.SUITE_RUNNERS}
-    monkeypatch.setattr(cli, "SUITE_RUNNERS", runners)
+    for name, suite in cli.SUITES.items():
+        spy = Suite(name, name, suite.gate, lambda n, name=name: ran.append(name) or [])
+        monkeypatch.setitem(cli.SUITES, name, spy)
     monkeypatch.setattr(cli.distances, "bfs_distance", lambda *args: ran.append(args))
     for cap in ("0", "-5"):
         result = run("distance", "--cap", cap, "bid", "2 1", "--oracle")

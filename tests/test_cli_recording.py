@@ -91,8 +91,13 @@ def test_byte_comparison_list_covers_every_command():
     commands = [tuple(args) for args in COMMANDS]
     assert len(commands) == len(set(commands))
     named = {(c[i], c[i + 1]) for c in commands for i in range(len(c) - 1)}
-    for suite in cli.SUITE_RUNNERS:
+    for suite in cli.SUITES:
         assert ("verify", suite) in named, suite
+    # a gate or floor that moves in the registry shows in the recording's diff
+    for name, suite in cli.SUITES.items():
+        assert ("verify", name, str(suite.gate + 1)) in commands, name
+        if suite.floor > 1:
+            assert ("verify", name, str(suite.floor - 1)) in commands, name
     for which in ("same-cycle-exact", "same-cycle-all"):
         assert ("conjecture", which) in named, which
     assert all(a in ("{out}", "{in}") for c in commands for a in c if "{" in a)

@@ -160,7 +160,7 @@ def test_exceedance_suite_fails_under_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False m=2 k=1: exceedances 1, closed forms 1 and 0\n"
+    assert result.stdout == "False exceedance n=2: m=2 k=1: exceedances 1, closed forms 1 and 0\n"
 
 
 def test_exceedance_suite_reports_disagreeing_closed_forms(monkeypatch):
@@ -170,7 +170,7 @@ def test_exceedance_suite_reports_disagreeing_closed_forms(monkeypatch):
     rep = suite_exceedance(3)
     assert not rep.passed
     assert rep.checked == checked
-    assert "m=2 k=2: exceedances 0, closed forms 0 and 1" in rep.failures
+    assert "exceedance n=2: m=2 k=2: exceedances 0, closed forms 0 and 1" in rep.failures
 
 
 def test_ntae_identity():
